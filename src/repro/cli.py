@@ -85,7 +85,6 @@ from .obs import metrics as obs_metrics
 from .obs import slo as obs_slo
 from .obs import timeline as obs_timeline
 from .obs import tracing as obs_tracing
-from .obs.manifest import _atomic_write_text
 from .obs.reportobs import diff_bench
 from .parallel import ENV_WORKERS, WorkerConfigError, WorkerCrash, resolve_workers
 from .reliability import (
@@ -528,7 +527,8 @@ def _finish_obs(
         manifest.write(path)
     metrics_out = getattr(args, "metrics_out", None)
     if metrics_out:
-        _atomic_write_text(Path(metrics_out), registry.render_prometheus())
+        with atomic_write(metrics_out, "w") as fh:
+            fh.write(registry.render_prometheus())
     return path
 
 
@@ -685,7 +685,8 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     if args.json_out:
-        _atomic_write_text(Path(args.json_out), json.dumps(payload, indent=2) + "\n")
+        with atomic_write(args.json_out, "w") as fh:
+            fh.write(json.dumps(payload, indent=2) + "\n")
     print(
         f"bench sim: {payload['events_per_second']:,.0f} drive-day events/s "
         f"over {n_events} events ({payload['n_drives']} drives, "
@@ -998,9 +999,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
     policy = _policy_arg(args)
     supervision = SupervisionLog()
     telem_spec, chaos_seed = telemetry_spec_from_env()
-    dlq = DeadLetterQueue(args.dlq) if args.dlq else None
-    journal = EventJournal(args.journal) if args.journal else None
-    guarded = bool(dlq or journal or telem_spec)
     telemetry, timeline, event_log = _telemetry_setup(args)
     scored_events = None
     with (
@@ -1008,6 +1006,11 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         obs_metrics.activate(metrics_registry),
         _activate_telemetry(timeline, event_log),
     ):
+        # Opened under the active event log, so a torn-tail repair
+        # (log.tail_repaired) lands in --eventlog.
+        dlq = DeadLetterQueue(args.dlq) if args.dlq else None
+        journal = EventJournal(args.journal) if args.journal else None
+        guarded = bool(dlq or journal or telem_spec)
         if args.restore:
             # A rotated snapshot base (--snapshot-keep) resolves to its
             # newest on-disk generation; an exact file wins as before.
@@ -1433,9 +1436,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         payload["shards"] = args.shards
         payload["arrival"] = profile.to_dict()
     if args.json_out:
-        _atomic_write_text(
-            Path(args.json_out), json.dumps(payload, indent=2) + "\n"
-        )
+        with atomic_write(args.json_out, "w") as fh:
+            fh.write(json.dumps(payload, indent=2) + "\n")
         manifest.add_output(args.json_out)
     manifest.counts = {"events": result.n_events}
     manifest.results.update(payload)
@@ -1483,9 +1485,6 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     store = (
         FeatureStore.restore(args.restore) if args.restore else FeatureStore()
     )
-    dlq = DeadLetterQueue(args.dlq) if args.dlq else None
-    journal = EventJournal(args.journal) if args.journal else None
-    guard = AdmissionGuard(store, dlq=dlq, journal=journal, breaker=breaker)
     manifest = RunManifest(
         command="serve.run",
         config={
@@ -1504,7 +1503,7 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     telemetry, timeline, event_log = _telemetry_setup(args)
     print(f"serve run: scoring stdin JSONL with {model_desc}", file=sys.stderr)
     n_lines = 0
-    health = guard.breaker.state
+    health = breaker.state
 
     def emit(line: str) -> None:
         print(line)
@@ -1523,6 +1522,11 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
         obs_metrics.activate(metrics_registry),
         _activate_telemetry(timeline, event_log),
     ):
+        # Opened under the active event log, so a torn-tail repair
+        # (log.tail_repaired) lands in --eventlog.
+        dlq = DeadLetterQueue(args.dlq) if args.dlq else None
+        journal = EventJournal(args.journal) if args.journal else None
+        guard = AdmissionGuard(store, dlq=dlq, journal=journal, breaker=breaker)
         engine = ScoringEngine(
             predictor,
             store=store,

@@ -3,8 +3,8 @@
 NPZ is the native format (one compressed array per column — fast and exact).
 CSV export is provided for interoperability with external tooling.
 
-All NPZ writers go through :func:`repro.reliability.runner.atomic_write`
-(tmp file + fsync + ``os.replace``): a killed process never leaves a
+All NPZ writers go through :func:`repro.obs.durable.atomic_write`
+(tmp file + fsync + rename): a killed process never leaves a
 half-written trace behind.  The ``*_checked`` loaders additionally
 validate raw columns *before* the dataset constructor's sanitizing
 sort/cast, and apply a repair policy (``strict``/``repair``/

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..obs import eventlog, metrics
+from ..obs.durable import now
 from .policy import ACTIONS, FleetAction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -245,11 +246,9 @@ class Actuator:
                 help="Policy actions rejected as illegal transitions",
             )
             return None
-        from .audit import _now
-
         entry = AuditEntry(
             seq=self._next_seq(),
-            ts=_now() if ts is None else float(ts),
+            ts=now() if ts is None else float(ts),
             day=action.day,
             kind="action",
             action=action.action,
@@ -298,7 +297,7 @@ class Actuator:
         Illegal when the drive has moved on since (a later action
         changed its status) — reverts are exact or not at all.
         """
-        from .audit import AuditEntry, _now
+        from .audit import AuditEntry
 
         original = self._applied.get(seq)
         if original is None or original.kind != "action":
@@ -314,7 +313,7 @@ class Actuator:
             )
         entry = AuditEntry(
             seq=self._next_seq(),
-            ts=_now() if ts is None else float(ts),
+            ts=now() if ts is None else float(ts),
             day=original.day,
             kind="revert",
             action=original.action,

@@ -10,16 +10,19 @@ Every action the autopilot takes — and every revert — is one JSON line:
      "reason": "risk 0.974000 >= replace_at 0.95",
      "chain": "ab12..."}
 
-Three contracts, shared with the serving DLQ/journal and the event log:
+The file is a :class:`repro.obs.durable.JsonlLog`, so it shares the one
+log policy with the serving DLQ/journal and the event log:
 
-- **append-only, line-buffered** — a crashed process leaves a prefix of
-  whole lines, so the journal on disk after SIGKILL is byte-for-byte a
-  prefix of the uninterrupted run's journal;
-- **seq resumes** from an existing file's line count, so appends across
-  restarts never collide;
-- **ts honors** ``REPRO_EPOCH``; the what-if/run decision loop pins it
-  to logical time (the decision day) instead, so two runs of the same
-  policy on the same trace are byte-identical without any env knob.
+- **append-only, flushed per line** — a record exists once its line
+  ends in ``\n``; a crashed process leaves whole lines plus at most one
+  torn tail, which reopening the journal drops, so the journal after
+  SIGKILL and resume is byte-for-byte the uninterrupted run's journal;
+- **seq resumes** from an existing file's complete records, so appends
+  across restarts never collide;
+- **ts** comes from :func:`repro.obs.durable.now`; the what-if/run
+  decision loop pins it to logical time (the decision day) instead, so
+  two runs of the same policy on the same trace are byte-identical
+  without any env knob.
 
 On top of those, entries are **hash-chained**: each entry's ``chain`` is
 ``sha256(prev_chain + canonical_body)``.  ``fleet audit --verify``
@@ -35,12 +38,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping, TextIO
+from typing import Any, Mapping
 
+from ..obs.durable import JsonlLog, read_jsonl
 from .actions import FleetState, apply_entry
 
 __all__ = [
@@ -64,17 +66,6 @@ GENESIS = "0" * 64
 
 class AuditError(RuntimeError):
     """An audit journal is unreadable, inconsistent, or tampered with."""
-
-
-def _now() -> float:
-    """Wall clock, unless ``REPRO_EPOCH`` pins it (manifest contract)."""
-    epoch = os.environ.get("REPRO_EPOCH")
-    if epoch is not None:
-        try:
-            return float(epoch)
-        except ValueError:
-            pass
-    return time.time()
 
 
 @dataclass(frozen=True)
@@ -145,12 +136,14 @@ def chain_digest(prev_chain: str, body: Mapping[str, Any]) -> str:
     return hashlib.sha256((prev_chain + payload).encode()).hexdigest()
 
 
-class AuditJournal:
+class AuditJournal(JsonlLog):
     """Append-only JSONL sink for audit entries, chain included.
 
-    Opening an existing journal resumes both ``seq`` (from the line
-    count) and the hash chain (from the last line), so a restarted run
-    extends the same tamper-evident history rather than forking it.
+    Opening an existing journal resumes both ``seq`` (from its complete
+    records) and the hash chain (from the last complete line), so a
+    restarted run extends the same tamper-evident history rather than
+    forking it.  A complete last line that does not parse is refused:
+    that is corruption, not a torn append.
 
     Opening a fresh journal creates the file immediately: a run that
     takes zero actions still leaves a (valid, empty) journal behind, so
@@ -159,28 +152,17 @@ class AuditJournal:
     """
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.appended = 0
+        super().__init__(path)
         self._chain = GENESIS
-        self._fh: TextIO | None = None
-        if not self.path.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.touch()
-        else:
-            last = None
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        self.appended += 1
-                        last = line
-            if last is not None:
-                try:
-                    self._chain = str(json.loads(last)["chain"])
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise AuditError(
-                        f"audit journal {self.path} has an unreadable "
-                        f"final entry ({exc}); cannot resume the chain"
-                    ) from None
+        if self.last_line is not None:
+            try:
+                self._chain = str(json.loads(self.last_line)["chain"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise AuditError(
+                    f"audit journal {self.path} has an unreadable "
+                    f"final entry ({exc}); cannot resume the chain"
+                ) from None
+        self.open()
 
     @property
     def next_seq(self) -> int:
@@ -196,27 +178,9 @@ class AuditJournal:
         if entry.seq != self.appended:
             entry = replace(entry, seq=self.appended)
         chained = replace(entry, chain=chain_digest(self._chain, entry.body()))
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(
-            json.dumps(chained.to_dict(), sort_keys=True) + "\n"
-        )
-        self._fh.flush()
-        self.appended += 1
+        super().append(chained.to_dict())
         self._chain = chained.chain
         return chained
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "AuditJournal":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
 
 # --------------------------------------------------------------------------
@@ -227,27 +191,14 @@ def read_journal(path: str | Path) -> list[AuditEntry]:
     """Load every entry of a journal, in append order.
 
     Raises :class:`AuditError` on a missing file or a line that does not
-    parse — partial trailing lines cannot exist under the line-buffered
-    append contract, so any malformed line is real corruption.
+    parse.  Under the log policy a torn tail can exist (a SIGKILL mid
+    append) until the journal is reopened for writing; the error names
+    it, and this reader never repairs it.
     """
     path = Path(path)
     if not path.exists():
         raise AuditError(f"audit journal {path} does not exist")
-    out: list[AuditEntry] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                body = json.loads(line)
-            except ValueError as exc:
-                raise AuditError(
-                    f"audit journal {path} line {lineno} is not valid "
-                    f"JSON ({exc})"
-                ) from None
-            out.append(AuditEntry.from_dict(body))
-    return out
+    return [AuditEntry.from_dict(body) for _, body in read_jsonl(path, AuditError)]
 
 
 def replay_journal(

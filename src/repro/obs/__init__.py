@@ -15,6 +15,9 @@ of them (so instrumentation can never create an import cycle):
   with multi-window burn-rate classification (ok/warn/breach);
 - :mod:`repro.obs.eventlog` — structured JSONL event log with levels
   and span correlation (guard/DLQ/health transitions);
+- :mod:`repro.obs.durable` — the one append-only JSONL log (torn-tail
+  repair, seq resume, cut-back), the one clock and the one atomic write
+  behind every record file and rewritten artifact;
 - :mod:`repro.obs.manifest` — the per-run manifest (config hash, seeds,
   file digests, stage timings, validation tallies) written atomically
   next to every artifact;

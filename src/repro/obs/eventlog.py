@@ -12,12 +12,12 @@ Each event is one JSON line::
      "kind": "serve.health.transition", "msg": "ready -> degraded",
      "span": 41, "from": "ready", "to": "degraded"}
 
-- ``seq`` is per-file monotone and resumes from an existing file's line
-  count, so appends across restarts never collide (same contract as the
-  DLQ journal).
-- ``ts`` is wall clock, or the ``REPRO_EPOCH`` override when set — the
-  same knob that pins :class:`repro.obs.manifest.RunManifest`
-  timestamps, so golden event logs diff clean.
+- ``seq`` is per-file monotone and resumes from an existing file's
+  complete records, so appends across restarts never collide (the one
+  log policy of :mod:`repro.obs.durable`, shared with the DLQ journal).
+- ``ts`` is :func:`repro.obs.durable.now` — the clock that also stamps
+  :class:`repro.obs.manifest.RunManifest`, so golden event logs diff
+  clean when it is pinned.
 - ``span`` is the innermost open span id on the active tracer at emit
   time (``null`` outside any span), correlating events with the trace.
 - extra keyword fields land top-level (reserved keys are prefixed with
@@ -33,16 +33,14 @@ tracing/metrics/timeline, so instrumented code never checks a flag.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
-import time
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any
 
 from . import tracing
+from .durable import JsonlLog, now, read_jsonl
 
 __all__ = [
     "LEVELS",
@@ -70,18 +68,12 @@ def _level_num(level: str) -> int:
         ) from None
 
 
-def _now() -> float:
-    epoch = os.environ.get("REPRO_EPOCH")
-    if epoch is not None:
-        try:
-            return float(epoch)
-        except ValueError:
-            pass
-    return time.time()
-
-
 class EventLog:
-    """Append-only JSONL event sink, thread-safe, flushed per line."""
+    """Append-only JSONL event sink, thread-safe, flushed per line.
+
+    The file is created on construction and follows the log policy of
+    :mod:`repro.obs.durable`; emits after :meth:`close` are dropped.
+    """
 
     def __init__(self, path: str | Path, min_level: str = "debug") -> None:
         self.path = Path(path)
@@ -89,11 +81,8 @@ class EventLog:
         self._threshold = _level_num(min_level)
         self._lock = threading.Lock()
         self._counts: dict[str, int] = {name: 0 for name in LEVELS}
-        self._seq = 0
-        if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                self._seq = sum(1 for line in fh if line.strip())
-        self._fh: TextIO | None = open(self.path, "a", encoding="utf-8")
+        self._log: JsonlLog | None = JsonlLog(self.path)
+        self._log.open()
 
     # ------------------------------------------------------------- emitting
     def emit(self, kind: str, msg: str = "", level: str = "info", **fields: Any) -> None:
@@ -105,7 +94,7 @@ class EventLog:
         span_id = tracer.current_parent_id() if tracer is not None else None
         record: dict[str, Any] = {
             "seq": 0,  # patched under the lock below
-            "ts": _now(),
+            "ts": now(),
             "level": level,
             "kind": kind,
             "msg": msg,
@@ -114,13 +103,11 @@ class EventLog:
         for key, value in fields.items():
             record[f"x_{key}" if key in _RESERVED else key] = value
         with self._lock:
-            if self._fh is None:
+            if self._log is None:
                 return
-            record["seq"] = self._seq
-            self._seq += 1
+            record["seq"] = self._log.appended
             self._counts[level] += 1
-            self._fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")
-            self._fh.flush()
+            self._log.append(record)
 
     def counts(self) -> dict[str, int]:
         """Events emitted by this instance, per level."""
@@ -130,9 +117,9 @@ class EventLog:
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
         with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+            if self._log is not None:
+                self._log.close()
+                self._log = None
 
     def __enter__(self) -> "EventLog":
         return self
@@ -156,22 +143,12 @@ def iter_events(
     event log is itself an event worth hearing about.
     """
     threshold = _level_num(min_level)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad event line: {exc}") from exc
-            if not isinstance(record, Mapping):
-                raise ValueError(f"{path}:{lineno}: event line is not an object")
-            if LEVELS.get(record.get("level", "info"), 20) < threshold:
-                continue
-            if kind_prefix and not str(record.get("kind", "")).startswith(kind_prefix):
-                continue
-            yield dict(record)
+    for _, record in read_jsonl(path):
+        if LEVELS.get(record.get("level", "info"), 20) < threshold:
+            continue
+        if kind_prefix and not str(record.get("kind", "")).startswith(kind_prefix):
+            continue
+        yield record
 
 
 def load_events(

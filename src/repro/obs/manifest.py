@@ -1,9 +1,9 @@
 """Per-run manifests: what ran, on what inputs, with what outcome.
 
 Every ``simulate``/``train``/``score`` invocation writes a
-``*manifest.json`` next to its artifacts (atomically: tmp + fsync +
-``os.replace``, the same discipline as :mod:`repro.reliability.runner`)
-recording everything needed to decide whether two runs are comparable:
+``*manifest.json`` next to its artifacts (through the one
+:func:`repro.obs.durable.atomic_write`) recording everything needed to
+decide whether two runs are comparable:
 
 - the command, argv and a **config digest** (sha256 over the sorted
   JSON of the run configuration);
@@ -23,7 +23,6 @@ show``/``obs diff`` consume these files (:mod:`repro.obs.reportobs`).
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from collections.abc import Mapping
@@ -34,6 +33,7 @@ from typing import Any
 
 from . import metrics as _metrics
 from . import tracing as _tracing
+from .durable import atomic_write, now
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -72,39 +72,6 @@ def config_digest(payload: Mapping[str, Any]) -> str:
     return sha256(
         json.dumps(payload, sort_keys=True, default=str).encode()
     ).hexdigest()
-
-
-def _created_now() -> float:
-    """Wall clock, unless ``REPRO_EPOCH`` pins it.
-
-    Golden-manifest tests and ``obs diff`` comparisons set
-    ``REPRO_EPOCH=<unix seconds>`` so otherwise-identical runs don't
-    diff dirty on their creation timestamp.  An unparsable override is
-    ignored (falls back to the real clock) rather than failing the run.
-    """
-    epoch = os.environ.get("REPRO_EPOCH")
-    if epoch is not None:
-        try:
-            return float(epoch)
-        except ValueError:
-            pass
-    return time.time()
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Local tmp+fsync+replace writer (keeps :mod:`repro.obs` zero-dep)."""
-    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-    fh = open(tmp, "w")
-    try:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-        fh.close()
-        os.replace(tmp, path)
-    except BaseException:
-        fh.close()
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 # --------------------------------------------------------------------------
@@ -411,7 +378,7 @@ class RunManifest:
     serve: dict[str, Any] | None = None
     fleet: dict[str, Any] | None = None
     slo: dict[str, Any] | None = None
-    created_unix: float = field(default_factory=_created_now)
+    created_unix: float = field(default_factory=now)
     elapsed_seconds: float = 0.0
     schema_version: int = MANIFEST_VERSION
     _t0: float = field(default_factory=time.perf_counter, repr=False)
@@ -556,7 +523,8 @@ class RunManifest:
             raise ManifestError(
                 f"refusing to write invalid manifest: {'; '.join(errors)}"
             )
-        _atomic_write_text(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
+        with atomic_write(path, "w") as fh:
+            fh.write(json.dumps(body, indent=2, sort_keys=True) + "\n")
         return path
 
 

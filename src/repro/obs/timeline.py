@@ -43,6 +43,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import metrics as metrics_mod
+from .durable import atomic_write, read_jsonl
 from .metrics import MetricsRegistry, bucket_quantile
 
 __all__ = [
@@ -345,9 +346,13 @@ class Timeline:
                 self._last_counters, _, self._last_hists = _flatten(registry)
 
     def export_jsonl(self, path) -> int:
-        """Write one JSON line per retained window; returns lines written."""
+        """Write one JSON line per retained window; returns lines written.
+
+        The file is replaced atomically: an export that dies partway
+        leaves the previous timeline (the one ``obs slo`` gates on) whole.
+        """
         windows = self.windows()
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w") as fh:
             for w in windows:
                 fh.write(json.dumps(w.to_dict(), sort_keys=True) + "\n")
         return len(windows)
@@ -356,15 +361,11 @@ class Timeline:
 def load_timeline_jsonl(path) -> list[TimelineWindow]:
     """Parse a timeline JSONL export back into windows."""
     out: list[TimelineWindow] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(TimelineWindow.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad timeline line: {exc}") from exc
+    for lineno, body in read_jsonl(path):
+        try:
+            out.append(TimelineWindow.from_dict(body))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad timeline line: {exc}") from exc
     return out
 
 

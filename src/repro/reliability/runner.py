@@ -2,9 +2,10 @@
 
 Three building blocks, used by :mod:`repro.data.io` and the CLI:
 
-- :func:`atomic_write` / :func:`atomic_save_npz` — tmp-file +
-  ``fsync`` + ``os.replace``, so a killed process never leaves a
-  half-written artifact where a reader expects a whole one;
+- :func:`atomic_write` (re-exported from :mod:`repro.obs.durable`, the
+  one atomic write) / :func:`atomic_save_npz` built on it — tmp-file +
+  ``fsync`` + rename, so a killed process never leaves a half-written
+  artifact where a reader expects a whole one;
 - :func:`retry_io` — bounded retries with exponential backoff + jitter
   for transient I/O failures (network filesystems, busy volumes);
 - :func:`simulate_fleet_resumable` — chunked, checkpointed fleet
@@ -19,20 +20,19 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import time
 import zipfile
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from hashlib import sha256
 from pathlib import Path
-from typing import IO, Any
+from typing import Any
 
 import numpy as np
 
 from ..data import DriveDayDataset, DriveTable, SwapLog
 from ..obs import metrics, tracing
+from ..obs.durable import atomic_write
 from ..parallel import iter_tasks, resolve_workers
 from ..resilience.supervisor import (
     QuarantinedRunError,
@@ -56,43 +56,6 @@ __all__ = [
     "CheckpointStore",
     "simulate_fleet_resumable",
 ]
-
-
-def _fsync_dir(path: Path) -> None:
-    """Flush a directory entry so a rename survives power loss."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-@contextmanager
-def atomic_write(path: str | Path, mode: str = "wb") -> Iterator[IO[Any]]:
-    """Write a file atomically: tmp + flush + fsync + ``os.replace``.
-
-    The target either keeps its previous content or gets the complete
-    new content — never a truncated hybrid.  The tmp file lives next to
-    the target (same filesystem, so the final rename is atomic) and is
-    removed on failure.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-    fh = open(tmp, mode)
-    try:
-        yield fh
-        fh.flush()
-        os.fsync(fh.fileno())
-        fh.close()
-        os.replace(tmp, path)
-        _fsync_dir(path.parent)
-    except BaseException:
-        fh.close()
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 #: Fixed zip entry timestamp (the zip epoch) for deterministic archives.

@@ -22,8 +22,7 @@ would those models run in production".  Seven pieces:
 - :mod:`repro.serve.partition` — the versioned drive-ID hash partition
   splitting the fleet across scorer shards;
 - :mod:`repro.serve.shard` — the sharded serving plane: supervised
-  shard processes, checkpoint/journal failover, resharding, and the
-  live :class:`~repro.serve.shard.ShardRouter`;
+  shard processes, checkpoint/journal failover, and resharding;
 - :mod:`repro.serve.snapshots` — rotated keep-last-K snapshot
   generations under atomic writes;
 - :mod:`repro.serve.loadgen` — the seeded synthetic arrival-process
@@ -95,7 +94,6 @@ from .shard import (
     ShardCheckpoint,
     ShardError,
     ShardPaths,
-    ShardRouter,
     ShardedReplayResult,
     merged_plane_events,
     plane_scores,
@@ -155,7 +153,6 @@ __all__ = [
     "ShardCheckpoint",
     "ShardError",
     "ShardPaths",
-    "ShardRouter",
     "ShardedReplayResult",
     "merged_plane_events",
     "plane_scores",

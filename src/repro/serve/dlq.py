@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Any
 
 from ..data.fields import FIELD_DTYPES
+from ..obs.durable import JsonlLog, read_jsonl
 
 __all__ = [
     "FAULT_CLASSES",
@@ -175,73 +176,15 @@ class DeadLetterEntry:
             raise DeadLetterError(f"malformed dead-letter entry ({exc})") from None
 
 
-class _JsonlAppender:
-    """Append-only JSONL file: lazy open, line-buffered, fsync-free.
-
-    Each ``append`` writes one complete line and flushes, so a crashed
-    process leaves at most a prefix of whole lines — readers skip
-    nothing and ``heal`` sees every fault recorded before the crash.
-
-    Opening an existing non-empty file resumes ``seq`` numbering from
-    its line count, so appends from a resumed run never collide with
-    the sequence numbers already on disk — the ``(drive_id, age_days,
-    seq)`` heal ordering stays a total order across restarts.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._fh = None
-        self.appended = 0
-        if self.path.exists():
-            with open(self.path) as fh:
-                self.appended = sum(1 for line in fh if line.strip())
-
-    def append(self, body: Mapping[str, Any]) -> None:
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a")
-        self._fh.write(json.dumps(body, sort_keys=True) + "\n")
-        self._fh.flush()
-        self.appended += 1
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _read_jsonl(path: str | Path, what: str) -> list[dict[str, Any]]:
-    path = Path(path)
-    if not path.exists():
-        raise DeadLetterError(f"{what} file {path} does not exist")
-    out = []
-    with open(path) as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except ValueError as exc:
-                raise DeadLetterError(
-                    f"{what} file {path} line {n} is not valid JSON ({exc})"
-                ) from None
-    return out
-
-
-class DeadLetterQueue(_JsonlAppender):
+class DeadLetterQueue(JsonlLog):
     """Append-only JSONL sink for diverted events.
 
-    ``seq`` numbers are assigned monotonically (resuming from the line
-    count of an existing file) and recorded in every entry, so the heal
+    ``seq`` numbers are assigned monotonically (resuming from the
+    complete records of an existing file, under the log policy of
+    :mod:`repro.obs.durable`) and recorded in every entry, so the heal
     ordering ``(drive_id, age_days, seq)`` is deterministic even across
-    equal drive-days and restarts.
+    equal drive-days and restarts.  The file is created by the first
+    divert: a run without faults leaves none behind.
     """
 
     def __init__(self, path: str | Path):
@@ -285,12 +228,15 @@ class DeadLetterQueue(_JsonlAppender):
         """Load every entry of a DLQ file, in append order."""
         return [
             DeadLetterEntry.from_dict(body)
-            for body in _read_jsonl(path, "dead-letter queue")
+            for body in _records(path, "dead-letter queue")
         ]
 
 
-class EventJournal(_JsonlAppender):
-    """Append-only JSONL journal of accepted (admitted) events."""
+class EventJournal(JsonlLog):
+    """Append-only JSONL journal of accepted (admitted) events.
+
+    Same log policy and lazy creation as :class:`DeadLetterQueue`.
+    """
 
     def record(self, event: Mapping[str, Any]) -> None:
         self.append({"seq": self.appended, "event": canonical_event(event)})
@@ -298,14 +244,20 @@ class EventJournal(_JsonlAppender):
     @staticmethod
     def read(path: str | Path) -> list[dict[str, Any]]:
         """Accepted events in admission order (each with its ``seq``)."""
-        out = []
-        for body in _read_jsonl(path, "journal"):
+        out = _records(path, "journal")
+        for body in out:
             if "event" not in body or "seq" not in body:
                 raise DeadLetterError(
                     f"journal file {path} entry is missing seq/event: {body}"
                 )
-            out.append(body)
         return out
+
+
+def _records(path: str | Path, what: str) -> list[dict[str, Any]]:
+    """Every record of a DLQ or journal file, as :class:`DeadLetterError`."""
+    if not Path(path).exists():
+        raise DeadLetterError(f"{what} file {path} does not exist")
+    return [body for _, body in read_jsonl(path, DeadLetterError)]
 
 
 @dataclass

@@ -33,7 +33,7 @@ from ..data.io import iter_drive_day_chunks
 from ..data.dataset import DriveDayDataset
 from ..obs import eventlog, metrics, tracing
 from ..obs import timeline as obs_timeline
-from ..obs.manifest import _atomic_write_text, _created_now
+from ..obs.durable import atomic_write, now
 from ..obs.slo import SloSpec, evaluate_slos
 from .batching import BatchPolicy, MicroBatcher, QueuePolicy
 from .feature_store import FeatureStore, SchemaMismatchError
@@ -256,7 +256,7 @@ class ScoringEngine:
         """The current heartbeat payload (what ``status.json`` holds)."""
         out: dict[str, Any] = {
             "schema_version": STATUS_SCHEMA_VERSION,
-            "ts": _created_now(),
+            "ts": now(),
             "health": self.health_state,
             "events_seen": self.events_seen,
             "requests_total": self.requests_total,
@@ -292,10 +292,8 @@ class ScoringEngine:
         if tm is not None and tm.status_path is not None:
             self.heartbeats_written += 1
             payload["heartbeats"] = self.heartbeats_written
-            _atomic_write_text(
-                Path(tm.status_path),
-                json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            )
+            with atomic_write(tm.status_path, "w") as fh:
+                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
             eventlog.emit(
                 "serve.engine.heartbeat",
                 level="debug",

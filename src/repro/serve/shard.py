@@ -39,8 +39,7 @@ Three invariants make the plane production-grade:
 
 Backpressure is cross-shard by construction: shards share no queues, so
 a full shard sheds to *its own* DLQ (``QueuePolicy(on_full="shed")``)
-and can never block a sibling — see :class:`ShardRouter`, the
-single-process live topology.
+and can never block a sibling.
 """
 
 from __future__ import annotations
@@ -61,12 +60,11 @@ from ..core.predictor import FailurePredictor
 from ..data.dataset import DriveDayDataset
 from ..data.io import iter_drive_day_chunks
 from ..obs import eventlog
-from ..obs.manifest import _atomic_write_text, _created_now
+from ..obs.durable import JsonlError, atomic_write, now
 from ..reliability.runner import atomic_save_npz
 from ..resilience.chaos import planned_shard_kill, shard_spec_from_env
-from .batching import BatchPolicy, QueuePolicy
 from .dlq import DeadLetterQueue, EventJournal
-from .engine import ScoredEvent, ScoringEngine, TelemetryConfig
+from .engine import ScoringEngine, TelemetryConfig
 from .feature_store import FeatureStore, FeatureStoreError
 from .guard import AdmissionGuard
 from .health import STATUS_SCHEMA_VERSION, ServeBreaker, load_status
@@ -79,7 +77,6 @@ __all__ = [
     "ShardPaths",
     "ShardCheckpoint",
     "ShardedReplayResult",
-    "ShardRouter",
     "run_sharded_replay",
     "reshard_plane",
     "merged_plane_events",
@@ -139,36 +136,6 @@ class ShardPaths:
     @property
     def chaos_marker(self) -> Path:
         return self.dir / _CHAOS_MARKER
-
-
-def _count_lines(path: Path) -> int:
-    if not path.exists():
-        return 0
-    with open(path) as fh:
-        return sum(1 for line in fh if line.strip())
-
-
-def _truncate_jsonl(path: Path, keep: int) -> None:
-    """Atomically cut a JSONL file back to its first ``keep`` lines.
-
-    Failover uses this to roll the journal/DLQ back to the checkpoint
-    cut before re-appending — otherwise a retried shard would record
-    its post-checkpoint events twice.
-    """
-    if not path.exists():
-        if keep:
-            raise ShardError(f"{path} is missing but {keep} line(s) expected")
-        return
-    with open(path) as fh:
-        lines = [line for line in fh if line.strip()]
-    if keep > len(lines):
-        raise ShardError(
-            f"{path} has {len(lines)} line(s), cannot keep {keep}"
-        )
-    from ..reliability.runner import atomic_write
-
-    with atomic_write(path, "w") as fh:
-        fh.writelines(lines[:keep])
 
 
 # --------------------------------------------------------------------------
@@ -365,17 +332,16 @@ def run_shard_task(
             f"{ckpt.n_shards}, not {shard_id}/{n_shards} — refusing to "
             "restore across a reshard (use a fresh plane directory)"
         )
-    journal_on_disk = _count_lines(paths.journal)
-    dlq_on_disk = _count_lines(paths.dlq)
+    # Opening the logs drops a torn tail (a kill mid append) before
+    # anything below counts, reads or cuts them.
+    dlq = DeadLetterQueue(paths.dlq)
+    journal = EventJournal(paths.journal)
     tail: list[dict] = []
     if ckpt is None:
         # A first attempt killed before any checkpoint may have left
         # journal/DLQ lines; the retry starts from scratch, so roll both
         # back to empty or the re-run would record every event twice.
-        if journal_on_disk:
-            _truncate_jsonl(paths.journal, 0)
-        if dlq_on_disk:
-            _truncate_jsonl(paths.dlq, 0)
+        keep_journal = keep_dlq = 0
         store = FeatureStore()
         prob_parts: list[np.ndarray] = []
         idx_parts: list[np.ndarray] = []
@@ -392,12 +358,12 @@ def run_shard_task(
         resume_at = ckpt.rows_seen
         if (
             ckpt.clean
-            and dlq_on_disk == ckpt.dlq_lines
-            and journal_on_disk >= ckpt.journal_lines
+            and dlq.appended == ckpt.dlq_lines
+            and journal.appended >= ckpt.journal_lines
         ):
             # Journal-tail fast path: every stream row past the cut was
             # accepted and journaled, so the tail *is* the sub-stream.
-            if journal_on_disk > ckpt.journal_lines:
+            if journal.appended > ckpt.journal_lines:
                 tail = [
                     body["event"]
                     for body in EventJournal.read(paths.journal)[
@@ -407,12 +373,13 @@ def run_shard_task(
         # Roll both files back to the cut; tail events re-append (with
         # identical seq numbers) as they re-admit below, and in the
         # sick-tail fallback the trace re-supplies them.
-        _truncate_jsonl(paths.journal, ckpt.journal_lines)
-        if dlq_on_disk != ckpt.dlq_lines:
-            _truncate_jsonl(paths.dlq, ckpt.dlq_lines)
+        keep_journal, keep_dlq = ckpt.journal_lines, ckpt.dlq_lines
+    try:
+        journal.truncate(keep_journal)
+        dlq.truncate(keep_dlq)
+    except JsonlError as exc:
+        raise ShardError(f"shard {shard_id}: {exc}") from None
 
-    dlq = DeadLetterQueue(paths.dlq)
-    journal = EventJournal(paths.journal)
     guard = AdmissionGuard(store, dlq=dlq, journal=journal, breaker=ServeBreaker())
     engine = ScoringEngine(
         predictor,
@@ -568,9 +535,8 @@ def run_shard_task(
         if kill_at is not None and hi >= kill_at:
             # Chaos: mark first (the marker gates the retry), then die
             # without warning — the supervisor must heal this.
-            _atomic_write_text(
-                paths.chaos_marker, f"killed at sub-stream row {hi}\n"
-            )
+            with atomic_write(paths.chaos_marker, "w") as fh:
+                fh.write(f"killed at sub-stream row {hi}\n")
             os.kill(os.getpid(), signal.SIGKILL)
 
     # Final checkpoint: makes a later restore (or resumed plane) read
@@ -595,9 +561,8 @@ def run_shard_task(
         "restored": ckpt is not None,
         "tail_replayed": n_tail,
     }
-    _atomic_write_text(
-        paths.status, json.dumps(status, indent=2, sort_keys=True) + "\n"
-    )
+    with atomic_write(paths.status, "w") as fh:
+        fh.write(json.dumps(status, indent=2, sort_keys=True) + "\n")
     eventlog.emit(
         "serve.shard.done",
         f"shard {shard_id}/{n_shards} scored {probability.shape[0]} events",
@@ -689,16 +654,14 @@ def _write_plane_manifest(
 ) -> None:
     body = {
         "schema_version": SHARD_SCHEMA_VERSION,
-        "created": _created_now(),
+        "created": now(),
         "n_shards": n_shards,
         "partition": PartitionMap(n_shards).to_dict(),
         "n_rows": n_rows,
         "chunk_rows": chunk_rows,
     }
-    _atomic_write_text(
-        root / _PLANE_MANIFEST,
-        json.dumps(body, indent=2, sort_keys=True) + "\n",
-    )
+    with atomic_write(root / _PLANE_MANIFEST, "w") as fh:
+        fh.write(json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
 def run_sharded_replay(
@@ -927,121 +890,3 @@ def plane_status(root: str | Path) -> dict:
             "partition": manifest.get("partition"),
         }
     return rollup
-
-
-# --------------------------------------------------------------------------
-# live topology: one process, N engines, zero shared queues
-# --------------------------------------------------------------------------
-
-
-class ShardRouter:
-    """Route live events to per-shard engines by drive-ID hash.
-
-    The single-process form of the plane, for the ``serve run``-style
-    event transport: ``n_shards`` independent engines, each with its own
-    store, guard, DLQ, journal, and bounded queue.  Because shards share
-    *nothing*, backpressure is local by construction — a shard at its
-    queue bound sheds the incoming event to its own DLQ
-    (``QueuePolicy(on_full="shed")``) and returns immediately; sibling
-    shards keep admitting and scoring untouched.
-    """
-
-    def __init__(
-        self,
-        predictor: FailurePredictor,
-        n_shards: int,
-        plane: str | Path | None = None,
-        batch_policy: BatchPolicy | None = None,
-        queue_policy: QueuePolicy | None = None,
-        staleness: Any | None = None,
-    ):
-        if n_shards < 1:
-            raise ShardError("n_shards must be >= 1")
-        self.pmap = PartitionMap(n_shards)
-        self.plane = None if plane is None else Path(plane)
-        self.engines: list[ScoringEngine] = []
-        if self.plane is not None:
-            self.plane.mkdir(parents=True, exist_ok=True)
-            _write_plane_manifest(self.plane, n_shards, 0, 0)
-        for shard_id in range(n_shards):
-            dlq = journal = None
-            telemetry = None
-            if self.plane is not None:
-                paths = ShardPaths(self.plane, shard_id)
-                paths.dir.mkdir(parents=True, exist_ok=True)
-                dlq = DeadLetterQueue(paths.dlq)
-                journal = EventJournal(paths.journal)
-                telemetry = TelemetryConfig(status_path=paths.status)
-            store = FeatureStore()
-            guard = AdmissionGuard(
-                store, dlq=dlq, journal=journal, breaker=ServeBreaker()
-            )
-            self.engines.append(
-                ScoringEngine(
-                    predictor,
-                    store=store,
-                    guard=guard,
-                    batch_policy=batch_policy,
-                    queue_policy=queue_policy,
-                    staleness=staleness,
-                    telemetry=telemetry,
-                )
-            )
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.engines)
-
-    def shard_of(self, record: Mapping[str, Any]) -> int:
-        """Owning shard of one event; unaddressable events go to shard 0.
-
-        An event without a usable ``drive_id`` cannot be partitioned —
-        shard 0 is the deterministic dumping ground, where the guard
-        classifies it ``malformed`` and dead-letters it as usual.
-        """
-        try:
-            return self.pmap.shard_of(int(record["drive_id"]))
-        except (KeyError, TypeError, ValueError):
-            return 0
-
-    def submit(self, record: Mapping[str, Any]) -> list[ScoredEvent]:
-        """Route one event to its shard's engine; scores flush as batched."""
-        return self.engines[self.shard_of(record)].submit(record)
-
-    def poll(self) -> list[ScoredEvent]:
-        """Wait-bound flush tick across every shard, in shard order."""
-        out: list[ScoredEvent] = []
-        for engine in self.engines:
-            out.extend(engine.poll())
-        return out
-
-    def drain(self) -> list[ScoredEvent]:
-        """Flush every shard (stream end); shards drain independently."""
-        out: list[ScoredEvent] = []
-        for engine in self.engines:
-            out.extend(engine.drain())
-        return out
-
-    def queue_depths(self) -> list[int]:
-        return [len(engine.batcher) for engine in self.engines]
-
-    def status(self) -> dict:
-        """Live rollup straight from the engines (no files needed)."""
-        from .health import aggregate_statuses
-
-        return aggregate_statuses(
-            {
-                f"shard-{i:02d}": engine.status()
-                for i, engine in enumerate(self.engines)
-            }
-        )
-
-    def close(self) -> None:
-        for engine in self.engines:
-            engine.close()
-
-    def __enter__(self) -> "ShardRouter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -230,6 +230,31 @@ class TestExport:
             w.to_dict() for w in tl.windows()
         ]
 
+    def test_export_that_dies_partway_keeps_the_old_file(
+        self, tmp_path, monkeypatch
+    ):
+        reg = MetricsRegistry()
+        tl = Timeline(TickPolicy(every_events=2), registry=reg)
+        tl.record(6)
+        path = tmp_path / "timeline.jsonl"
+        tl.export_jsonl(path)
+        old = path.read_bytes()
+
+        tl.record(4)
+        calls = []
+
+        def dies_on_second_window(self):
+            calls.append(self.index)
+            if len(calls) == 2:
+                raise RuntimeError("export interrupted")
+            return {"index": self.index}
+
+        monkeypatch.setattr(TimelineWindow, "to_dict", dies_on_second_window)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            tl.export_jsonl(path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_bad_line_reports_lineno(self, tmp_path):
         path = tmp_path / "timeline.jsonl"
         path.write_text('{"index": 0, "start_events": 0, "end_events": 3}\nnope\n')

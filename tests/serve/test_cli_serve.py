@@ -435,6 +435,46 @@ class TestRun:
         assert entries[0].raw == "{not json}"
         assert entries[0].source == "transport"
 
+    def test_torn_dlq_is_repaired_and_reported(
+        self, served, monkeypatch, tmp_path, capsys
+    ):
+        # A run killed mid append left a torn last line: the next run
+        # drops it, keeps numbering from the whole entries, and says so
+        # in its event log.
+        from repro.obs import load_events
+        from repro.serve import DeadLetterQueue
+
+        dlq = tmp_path / "dlq.jsonl"
+        with DeadLetterQueue(dlq) as sink:
+            for i in range(2):
+                sink.divert("malformed", "not valid JSON", raw=f"junk {i}")
+        whole = dlq.read_bytes()
+        fragment = b'{"fault": "malformed", "raw": "jun'
+        dlq.write_bytes(whole + fragment)
+        events = tmp_path / "events.jsonl"
+        monkeypatch.setattr("sys.stdin", io.StringIO("{not json}\n"))
+        code = main(
+            [
+                "serve",
+                "run",
+                "--registry",
+                str(served["registry"]),
+                "--dlq",
+                str(dlq),
+                "--eventlog",
+                str(events),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 1
+        assert dlq.read_bytes().startswith(whole)
+        entries = DeadLetterQueue.read(dlq)
+        assert [e.seq for e in entries] == [0, 1, 2]
+        assert entries[-1].raw == "{not json}"
+        (repair,) = load_events(events, kind_prefix="log.tail_repaired")
+        assert repair["level"] == "warn"
+        assert (repair["path"], repair["bytes"]) == (str(dlq), len(fragment))
+
     def test_missing_field_dead_letters_and_exits_one(
         self, served, monkeypatch, capsys
     ):

@@ -11,10 +11,9 @@ What is pinned here, in order of importance:
   byte-identical to a never-crashed run;
 - **reshard identity**: replaying an N-shard plane's journals through an
   M-shard partition map reproduces the same bytes;
-- **local backpressure**: a shard at its queue bound sheds to its *own*
-  DLQ and never blocks or pollutes a sibling;
 - checkpoint round-trip, plane manifest/status plumbing, and the
-  failover-support helpers.
+  failover cut-back (:meth:`repro.obs.durable.JsonlLog.truncate`),
+  including failover over a torn journal tail.
 """
 
 from __future__ import annotations
@@ -27,14 +26,11 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import DriveDayDataset
-from repro.data.io import iter_drive_days
+from repro.obs.durable import JsonlError, JsonlLog
 from repro.resilience import ENV_CHAOS, ENV_CHAOS_SEED
 from repro.serve import (
-    BatchPolicy,
     FeatureStore,
-    QueuePolicy,
     ShardError,
-    ShardRouter,
     merged_plane_events,
     plane_scores,
     plane_status,
@@ -46,9 +42,10 @@ from repro.serve.health import status_exit_code
 from repro.serve.shard import (
     ShardPaths,
     _save_checkpoint,
-    _truncate_jsonl,
     load_checkpoint,
+    run_shard_task,
 )
+from repro.serve.snapshots import latest_snapshot
 
 fork_only = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -267,30 +264,76 @@ class TestCheckpoint:
 
 
 class TestTruncateJsonl:
+    """The failover cut-back, :meth:`JsonlLog.truncate`."""
+
     def test_cuts_back_to_prefix(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text("".join(f'{{"seq": {i}}}\n' for i in range(5)))
-        _truncate_jsonl(path, 2)
+        JsonlLog(path).truncate(2)
         assert path.read_text() == '{"seq": 0}\n{"seq": 1}\n'
 
     def test_keep_zero_empties_file(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text('{"seq": 0}\n')
-        _truncate_jsonl(path, 0)
+        JsonlLog(path).truncate(0)
         assert path.read_text() == ""
 
     def test_missing_file_with_zero_keep_is_fine(self, tmp_path):
-        _truncate_jsonl(tmp_path / "absent.jsonl", 0)
+        JsonlLog(tmp_path / "absent.jsonl").truncate(0)
 
     def test_missing_file_with_lines_expected_raises(self, tmp_path):
-        with pytest.raises(ShardError, match="missing"):
-            _truncate_jsonl(tmp_path / "absent.jsonl", 3)
+        with pytest.raises(JsonlError, match="missing"):
+            JsonlLog(tmp_path / "absent.jsonl").truncate(3)
 
     def test_keep_beyond_length_raises(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text('{"seq": 0}\n')
-        with pytest.raises(ShardError, match="cannot keep"):
-            _truncate_jsonl(path, 2)
+        with pytest.raises(JsonlError, match="cannot keep"):
+            JsonlLog(path).truncate(2)
+
+
+class TestTornJournalFailover:
+    def test_torn_tail_after_newest_cut_heals_byte_identical(
+        self, tmp_path, serve_trace, predictor
+    ):
+        # A clean two-shard run; dropping each shard's final checkpoint
+        # leaves the newest cut mid-stream, with journal lines after it.
+        plane = tmp_path / "plane"
+        run_sharded_replay(
+            predictor,
+            serve_trace.records,
+            2,
+            plane,
+            chunk_rows=512,
+            checkpoint_every=700,
+            workers=1,
+        )
+        plan = {
+            "root": str(plane),
+            "n_shards": 2,
+            "chunk_rows": 512,
+            "checkpoint_every": 700,
+            "n_rows": len(serve_trace.records),
+        }
+        paths = ShardPaths(plane, 0)
+        final = latest_snapshot(paths.checkpoint_base)
+        reference = load_checkpoint(final)
+        journal_bytes = paths.journal.read_bytes()
+        final.unlink()
+        # A kill mid append: a fragment with no trailing newline.
+        with open(paths.journal, "ab") as fh:
+            fh.write(journal_bytes.splitlines(keepends=True)[-1][:25])
+
+        result = run_shard_task(predictor, serve_trace.records, plan, 0)
+
+        assert result["restored"] and result["tail_replayed"] > 0
+        assert (
+            result["probability"].tobytes() == reference.probability.tobytes()
+        )
+        assert np.array_equal(
+            result["accepted_global"], reference.accepted_global
+        )
+        assert paths.journal.read_bytes() == journal_bytes
 
 
 class TestPlanePlumbing:
@@ -341,83 +384,3 @@ class TestPlanePlumbing:
             body = json.loads(ShardPaths(plane, shard_id).status.read_text())
             assert body["shard"]["shard_id"] == shard_id
             assert body["shard"]["restored"] is False
-
-
-class TestShardRouter:
-    def test_routing_matches_serial_scores(
-        self, tmp_path, serve_trace, predictor, offline_probs
-    ):
-        with ShardRouter(
-            predictor,
-            3,
-            plane=tmp_path / "plane",
-            batch_policy=BatchPolicy(max_batch_size=64, max_wait_seconds=60),
-        ) as router:
-            by_row: dict[int, float] = {}
-            pending: dict[int, list[int]] = {i: [] for i in range(3)}
-            for row, record in enumerate(iter_drive_days(serve_trace.records)):
-                shard = router.shard_of(record)
-                pending[shard].append(row)
-                for event in router.submit(record):
-                    by_row[pending[shard].pop(0)] = event.probability
-            for event in router.drain():
-                # Drain flushes in shard order; each shard's backlog is
-                # still FIFO, so pop per-shard rows as scores arrive.
-                shard = router.pmap.shard_of(event.drive_id)
-                by_row[pending[shard].pop(0)] = event.probability
-        assert len(by_row) == len(offline_probs)
-        scores = np.array([by_row[r] for r in range(len(offline_probs))])
-        assert np.array_equal(scores, offline_probs)
-
-    def test_full_shard_sheds_locally_not_globally(
-        self, tmp_path, serve_trace, predictor
-    ):
-        # Find two drives on different shards, flood one shard past its
-        # queue bound, and check the overflow lands in *that* shard's
-        # DLQ while the sibling keeps admitting.
-        records = list(iter_drive_days(serve_trace.records))
-        with ShardRouter(
-            predictor,
-            2,
-            plane=tmp_path / "plane",
-            batch_policy=BatchPolicy(max_batch_size=10_000, max_wait_seconds=60),
-            queue_policy=QueuePolicy(max_depth=3, on_full="shed"),
-        ) as router:
-            victim = router.shard_of(records[0])
-            flood = [r for r in records if router.shard_of(r) == victim][:10]
-            other = [r for r in records if router.shard_of(r) != victim][:10]
-            for record in flood:
-                router.submit(record)
-            sibling = 1 - victim
-            assert router.queue_depths()[victim] == 3
-            assert router.engines[victim].guard.dlq.appended == 7
-            # The sibling is untouched by the victim's backpressure …
-            for record in other:
-                router.submit(record)
-            assert router.queue_depths()[sibling] == 3
-            # … and its sheds are its own, in its own DLQ file.
-            paths = [ShardPaths(tmp_path / "plane", i).dlq for i in range(2)]
-            counts = [
-                sum(1 for _ in open(p)) if p.exists() else 0 for p in paths
-            ]
-            assert counts[victim] == 7
-            assert counts[sibling] == 7
-
-    def test_malformed_event_routes_to_shard_zero(self, tmp_path, predictor):
-        with ShardRouter(predictor, 4) as router:
-            assert router.shard_of({}) == 0
-            assert router.shard_of({"drive_id": "garbage"}) == 0
-
-    def test_live_status_rollup(self, serve_trace, predictor):
-        with ShardRouter(predictor, 2) as router:
-            for _, record in zip(range(50), iter_drive_days(serve_trace.records)):
-                router.submit(record)
-            router.drain()
-            rollup = router.status()
-        assert rollup["sharded"] is True
-        assert rollup["n_shards"] == 2
-        assert rollup["events_seen"] == 50
-
-    def test_rejects_zero_shards(self, predictor):
-        with pytest.raises(ShardError):
-            ShardRouter(predictor, 0)
