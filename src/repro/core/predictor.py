@@ -89,7 +89,7 @@ def _score_block(
     X: np.ndarray,
     age_days: np.ndarray,
 ) -> np.ndarray:
-    """Score one block of rows — the kernel both pool task shapes share."""
+    """Score one block of rows — the serial path and both pool tasks call it."""
     if not age_partitioned:
         return models["all"].predict_proba(X)
     out = np.empty(X.shape[0])
@@ -304,6 +304,10 @@ class FailurePredictor:
         per-row (trees traverse each row independently), so the output is
         bit-identical for any batch split and any ``workers`` count.
 
+        A serial call (one resolved worker, no ``policy``) scores the
+        whole matrix as one block in-process: no sharding, no task
+        plumbing, and no reference to ``X`` outlives the call.
+
         ``pool`` routes the fan-out through a warm
         :meth:`scoring_pool` instead of building a fresh process pool
         per call; row sharding matches the per-call path exactly, so
@@ -311,6 +315,10 @@ class FailurePredictor:
         ``policy`` is given (retries need the supervised pool).
         """
         self._require_fitted()
+        if pool is None and policy is None and resolve_workers(workers) == 1:
+            return _score_block(
+                self._models, self.age_partitioned, self.infancy_days, X, age_days
+            )
         n = X.shape[0]
         if pool is not None and policy is None:
             age = np.asarray(age_days)

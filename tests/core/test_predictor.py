@@ -2,12 +2,29 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import FailurePredictor, build_prediction_dataset
 from repro.core.pipeline import ModelSpec
 from repro.ml import LogisticRegression
+from repro.simulator import FleetConfig, simulate_fleet
+
+
+@pytest.fixture(scope="module")
+def tiny_trace():
+    """Smallest fleet with failures among both infant and mature drives."""
+    return simulate_fleet(
+        FleetConfig(
+            n_drives_per_model=12,
+            horizon_days=300,
+            deploy_spread_days=100,
+            seed=21,
+        )
+    )
 
 
 class TestFit:
@@ -83,3 +100,38 @@ class TestCrossValidate:
         pred = FailurePredictor(lookahead=1, seed=0)
         res = pred.cross_validate(medium_trace, n_splits=4)
         assert 0.6 < res.mean_auc <= 1.0
+
+
+class TestPredictMatrix:
+    def test_serial_call_keeps_no_reference_to_the_matrix(self, tiny_trace):
+        pred = FailurePredictor(lookahead=7, seed=0).fit(tiny_trace)
+        ds = build_prediction_dataset(tiny_trace, lookahead=7)
+        X = ds.X[:50].copy()
+        alive = weakref.ref(X)
+        pred.predict_proba_matrix(X, ds.age_days[:50], workers=1)
+        del X
+        gc.collect()
+        assert alive() is None
+
+    @pytest.mark.parametrize("age_partitioned", [False, True])
+    def test_serial_fanout_and_per_row_agree(self, tiny_trace, age_partitioned):
+        pred = FailurePredictor(
+            lookahead=7, age_partitioned=age_partitioned, seed=0
+        ).fit(tiny_trace)
+        ds = build_prediction_dataset(tiny_trace, lookahead=7)
+        rows = np.linspace(0, len(ds) - 1, 64).astype(np.int64)
+        X, ages = ds.X[rows], ds.age_days[rows]
+        young = ages <= pred.infancy_days
+        assert young.any() and (~young).any()
+        serial = pred.predict_proba_matrix(X, ages, workers=1)
+        fanout = pred.predict_proba_matrix(X, ages, workers=2)
+        per_row = np.concatenate(
+            [
+                pred.predict_proba_matrix(X[i : i + 1], ages[i : i + 1], workers=1)
+                for i in range(len(rows))
+            ]
+        )
+        assert np.array_equal(serial, fanout)
+        assert np.array_equal(serial, per_row)
+        empty = pred.predict_proba_matrix(X[:0], ages[:0], workers=1)
+        assert empty.shape == (0,)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ml import DecisionTreeClassifier, RandomForestClassifier, roc_auc_score
+from repro.ml.forest import _PREDICT_CHUNK_ROWS
 
 
 def _noisy_nonlinear(rng, n=800):
@@ -54,10 +55,24 @@ class TestForest:
         assert auc_rf >= auc_tree - 0.01  # typically strictly better
 
     def test_ensemble_average_of_trees(self, rng):
+        """Bit-identical to the fit-order loop over trees, chunk tails too."""
         X, y = _noisy_nonlinear(rng, n=200)
-        rf = RandomForestClassifier(8, max_depth=3, random_state=0).fit(X, y)
-        manual = np.mean([t.predict_proba(X[:20]) for t in rf.trees_], axis=0)
-        assert np.allclose(rf.predict_proba(X[:20]), manual)
+        # Unbounded depth mixes tree depths, so the deepest-first walk order
+        # differs from fit order; min_samples_leaf > 1 leaves fractional
+        # leaf frequencies, whose float64 sum depends on summation order.
+        rf = RandomForestClassifier(
+            12, max_depth=None, min_samples_leaf=5, random_state=0
+        ).fit(X, y)
+        depths = [t.max_depth_ for t in rf.trees_]
+        assert depths != sorted(depths, reverse=True)
+        c = _PREDICT_CHUNK_ROWS
+        for n_rows in (1, c - 1, c, c + 1, 2 * c + 7):
+            Xp = rng.normal(size=(n_rows, X.shape[1]))
+            manual = np.zeros(n_rows)
+            for t in rf.trees_:
+                manual += t.predict_proba(Xp)
+            manual /= len(rf.trees_)
+            assert np.array_equal(rf.predict_proba(Xp), manual), n_rows
 
     def test_importances_normalized_and_informative(self, rng):
         X = rng.normal(size=(600, 6))
