@@ -22,9 +22,16 @@ Quickstart::
     print(report.top(5))
 """
 
-from .core import FailurePredictor
-from .simulator import FleetConfig, simulate_fleet
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
 __all__ = ["FailurePredictor", "FleetConfig", "simulate_fleet", "__version__"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core": ("FailurePredictor",),
+        ".simulator": ("FleetConfig", "simulate_fleet"),
+    },
+)

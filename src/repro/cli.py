@@ -55,116 +55,32 @@ import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analysis import check_observations, figure6, table1, table3, table4, table5
-from .core import FailurePredictor
-from .data import (
-    TraceIntegrityError,
-    iter_drive_days,
-    load_dataset_checked,
-    load_dataset_npz,
-    load_drivetable_npz,
-    load_swaplog_npz,
-    save_dataset_npz,
-    save_dataset_store,
-    save_drivetable_npz,
-    save_swaplog_npz,
-)
-from .obs import (
-    ManifestError,
-    RunManifest,
-    diff_manifests,
-    load_manifest,
-    render_manifest,
-    validate_manifest,
-)
-from .obs import eventlog as obs_eventlog
+from .errors import ReproError
 from .obs import metrics as obs_metrics
-from .obs import slo as obs_slo
-from .obs import timeline as obs_timeline
 from .obs import tracing as obs_tracing
-from .obs.reportobs import diff_bench
-from .parallel import ENV_WORKERS, WorkerConfigError, WorkerCrash, resolve_workers
-from .reliability import (
-    DEFAULT_RATES,
-    FAULT_CLASSES,
-    CheckpointStore,
-    FaultInjector,
-    RepairResult,
-    TraceValidationError,
-    atomic_write,
-    simulate_fleet_resumable,
-    validate_trace,
-)
-from .resilience import (
-    EXIT_INTERRUPTED,
-    QuarantinedRunError,
-    ShutdownRequested,
-    SupervisionLog,
-    SupervisorPolicy,
-    chaos_telemetry_events,
-    graceful_shutdown,
-    telemetry_spec_from_env,
-)
-from .fleet import (
-    AuditError,
-    AuditJournal,
-    FleetActionError,
-    FleetHealth,
-    FleetState,
-    HealthError,
-    PolicyError,
-    PolicyRunner,
-    RiskPolicy,
-    evaluate_outcome,
-    ground_truth,
-    journal_summary,
-    load_policy,
-    read_journal,
-    replay_journal,
-    run_whatif,
-    verify_journal,
-)
-from .serve import (
-    AdmissionGuard,
-    BatchPolicy,
-    DeadLetterError,
-    DeadLetterQueue,
-    Distribution,
-    EventJournal,
-    FeatureStore,
-    FeatureStoreError,
-    LoadProfile,
-    ModelRegistry,
-    QueuePolicy,
-    RegistryError,
-    ReplayResult,
-    RVConfig,
-    ScoringEngine,
-    ServeBreaker,
-    ShardError,
-    StalenessPolicy,
-    TelemetryConfig,
-    build_heal_plan,
-    canonical_event,
-    latest_snapshot,
-    load_status,
-    plane_scores,
-    plane_status,
-    render_sharded_status,
-    render_status,
-    reshard_plane,
-    run_sharded_replay,
-    status_exit_code,
-)
-from .simulator import FleetConfig, FleetTrace, default_models, simulate_fleet
+from .obs.durable import atomic_write
+from .resilience.shutdown import EXIT_INTERRUPTED, ShutdownRequested, graceful_shutdown
+
+if TYPE_CHECKING:
+    from .core import FailurePredictor
+    from .fleet import RiskPolicy
+    from .obs import RunManifest
+    from .obs import eventlog as obs_eventlog
+    from .obs import slo as obs_slo
+    from .obs import timeline as obs_timeline
+    from .reliability import RepairResult
+    from .resilience import SupervisionLog, SupervisorPolicy
+    from .serve import LoadProfile, ScoringEngine, TelemetryConfig
+    from .simulator import FleetTrace
 
 __all__ = ["main", "build_parser", "add_execution_args", "CLIError"]
 
 
-class CLIError(RuntimeError):
+class CLIError(RuntimeError, ReproError):
     """Actionable user-facing error; printed as one line, exit code 2."""
 
 
@@ -179,6 +95,8 @@ def add_execution_args(parser: argparse.ArgumentParser) -> None:
     family) takes the same four knobs; adding them through one helper
     keeps the flag names, defaults, and help text identical everywhere.
     """
+    from .parallel import ENV_WORKERS
+
     group = parser.add_argument_group("execution")
     group.add_argument(
         "--workers",
@@ -316,6 +234,11 @@ def _telemetry_setup(
     Returns ``(config, timeline, event_log)`` — all ``None`` when no
     telemetry flag was given, so the serving path stays untouched.
     """
+    from .obs import eventlog as obs_eventlog
+    from .obs import slo as obs_slo
+    from .obs import timeline as obs_timeline
+    from .serve import TelemetryConfig
+
     enabled = bool(
         args.status_out or args.timeline_out or args.eventlog or args.slo_spec
     )
@@ -344,6 +267,9 @@ def _telemetry_setup(
 @contextlib.contextmanager
 def _activate_telemetry(timeline, event_log):
     """Activate the optional timeline/event-log pair for the block."""
+    from .obs import eventlog as obs_eventlog
+    from .obs import timeline as obs_timeline
+
     with contextlib.ExitStack() as stack:
         if timeline is not None:
             stack.enter_context(obs_timeline.activate(timeline))
@@ -366,6 +292,8 @@ def _finish_telemetry(
     ``status.json`` reflects the flushed state, exports the timeline
     JSONL, evaluates the SLO spec, and closes the event log.
     """
+    from .obs import slo as obs_slo
+
     if timeline is None:
         return None
     timeline.flush()
@@ -389,6 +317,8 @@ def _finish_telemetry(
 
 def _workers_arg(args: argparse.Namespace) -> int:
     """Resolve ``--workers``/``$REPRO_WORKERS`` to a worker count."""
+    from .parallel import resolve_workers
+
     try:
         return resolve_workers(getattr(args, "workers", None))
     except ValueError as exc:
@@ -397,6 +327,8 @@ def _workers_arg(args: argparse.Namespace) -> int:
 
 def _policy_arg(args: argparse.Namespace) -> SupervisorPolicy:
     """Build the supervision policy from the resilience flag group."""
+    from .resilience import SupervisorPolicy
+
     try:
         return SupervisorPolicy(
             task_timeout=getattr(args, "task_timeout", None),
@@ -461,6 +393,14 @@ def _load_trace(
     """Load a trace directory; returns the trace plus the repair outcome
     (``None`` when no load policy ran), so callers can fold validation
     and quarantine tallies into their run manifest."""
+    from .data import (
+        load_dataset_checked,
+        load_dataset_npz,
+        load_drivetable_npz,
+        load_swaplog_npz,
+    )
+    from .simulator import FleetConfig, FleetTrace
+
     _require_trace_dir(path)
     repair: RepairResult | None = None
     if policy is None or policy == "off":
@@ -533,6 +473,12 @@ def _finish_obs(
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .data import save_dataset_npz, save_drivetable_npz, save_swaplog_npz
+    from .obs import RunManifest
+    from .reliability import CheckpointStore, simulate_fleet_resumable
+    from .resilience import QuarantinedRunError, SupervisionLog
+    from .simulator import FleetConfig, default_models
+
     config = FleetConfig(
         n_drives_per_model=args.drives,
         horizon_days=args.days,
@@ -634,6 +580,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
+    from .data import load_dataset_npz, save_dataset_store
+
     trace_dir = _require_trace_dir(Path(args.trace))
     npz_path = trace_dir / "records.npz"
     if not npz_path.exists():
@@ -659,6 +607,8 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_sim(args: argparse.Namespace) -> int:
+    from .simulator import FleetConfig, simulate_fleet
+
     workers = _workers_arg(args)
     config = FleetConfig(
         n_drives_per_model=args.drives,
@@ -696,6 +646,8 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .analysis import figure6, table1, table3, table4, table5
+
     trace, _ = _load_trace(Path(args.trace), policy=args.policy)
     print(trace.summary())
     print("\n=== Error incidence (Table 1) ===")
@@ -712,6 +664,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    from .analysis import check_observations
+    from .data import load_drivetable_npz, load_swaplog_npz
+    from .reliability import validate_trace
+
     trace_dir = _require_trace_dir(Path(args.trace))
     deep_ok = True
     if args.deep:
@@ -738,6 +694,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from .core import FailurePredictor
+    from .obs import RunManifest
+    from .resilience import SupervisionLog
+
     workers = _workers_arg(args)
     manifest = RunManifest(
         command="train",
@@ -804,6 +764,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _load_predictor(model_path: Path) -> FailurePredictor:
     """Unpickle a trained predictor from a ``train`` output file."""
+    from .core import FailurePredictor
+
     if not model_path.exists():
         raise CLIError(
             f"model file {model_path} does not exist "
@@ -822,6 +784,10 @@ def _load_predictor(model_path: Path) -> FailurePredictor:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    from .data import load_dataset_checked, load_dataset_npz
+    from .obs import RunManifest
+    from .resilience import SupervisionLog
+
     workers = _workers_arg(args)
     model_path = Path(args.model)
     predictor = _load_predictor(model_path)
@@ -884,6 +850,8 @@ def _serve_predictor(
     Returns the predictor, the artifact path (for manifest inputs), and
     a short human-readable description of where it came from.
     """
+    from .serve import ModelRegistry
+
     if args.model:
         path = Path(args.model)
         return _load_predictor(path), path, f"model {path}"
@@ -946,6 +914,9 @@ def _serve_summary(engine: ScoringEngine, dlq_path, journal_path) -> dict:
 
 
 def _cmd_serve_publish(args: argparse.Namespace) -> int:
+    from .obs import RunManifest
+    from .serve import ModelRegistry
+
     predictor = _load_predictor(Path(args.model))
     registry = ModelRegistry(args.registry)
     manifest = RunManifest(
@@ -980,6 +951,24 @@ def _cmd_serve_publish(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_replay(args: argparse.Namespace) -> int:
+    from .data import iter_drive_days, load_dataset_npz
+    from .obs import RunManifest
+    from .resilience import (
+        SupervisionLog,
+        chaos_telemetry_events,
+        telemetry_spec_from_env,
+    )
+    from .serve import (
+        AdmissionGuard,
+        DeadLetterQueue,
+        EventJournal,
+        FeatureStore,
+        ReplayResult,
+        ScoringEngine,
+        ServeBreaker,
+        latest_snapshot,
+    )
+
     workers = _workers_arg(args)
     predictor, model_path, model_desc = _serve_predictor(args)
     trace_dir = _require_trace_dir(Path(args.trace))
@@ -1198,6 +1187,8 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
 
 def _load_profile_arg(args: argparse.Namespace) -> LoadProfile:
     """Build the seeded arrival process from the bench flag group."""
+    from .serve import Distribution, LoadProfile, RVConfig
+
     try:
         return LoadProfile(
             RVConfig(
@@ -1212,6 +1203,11 @@ def _load_profile_arg(args: argparse.Namespace) -> LoadProfile:
 
 
 def _cmd_serve_shard(args: argparse.Namespace) -> int:
+    from .data import load_dataset_npz
+    from .obs import RunManifest
+    from .resilience import SupervisionLog
+    from .serve import plane_scores, reshard_plane, run_sharded_replay
+
     workers = _workers_arg(args)
     if args.shards < 1:
         raise CLIError("--shards must be >= 1")
@@ -1366,6 +1362,12 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
+    from .core import FailurePredictor
+    from .data import iter_drive_days
+    from .obs import RunManifest
+    from .serve import BatchPolicy, ScoringEngine, run_sharded_replay
+    from .simulator import FleetConfig, simulate_fleet
+
     workers = _workers_arg(args)
     config = FleetConfig(
         n_drives_per_model=args.drives,
@@ -1466,6 +1468,19 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_run(args: argparse.Namespace) -> int:
+    from .obs import RunManifest
+    from .serve import (
+        AdmissionGuard,
+        BatchPolicy,
+        DeadLetterQueue,
+        EventJournal,
+        FeatureStore,
+        QueuePolicy,
+        ScoringEngine,
+        ServeBreaker,
+        StalenessPolicy,
+    )
+
     predictor, model_path, model_desc = _serve_predictor(args)
     try:
         batch_policy = BatchPolicy(
@@ -1630,6 +1645,18 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_heal(args: argparse.Namespace) -> int:
+    from .data import iter_drive_days
+    from .obs import RunManifest
+    from .serve import (
+        AdmissionGuard,
+        DeadLetterQueue,
+        EventJournal,
+        FeatureStore,
+        ScoringEngine,
+        ServeBreaker,
+        build_heal_plan,
+    )
+
     predictor, model_path, model_desc = _serve_predictor(args)
     journal_events = EventJournal.read(args.journal)
     entries = DeadLetterQueue.read(args.dlq) if args.dlq else []
@@ -1741,10 +1768,14 @@ def _cmd_serve_heal(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_status(args: argparse.Namespace) -> int:
+    from .serve import load_status, render_sharded_status, render_status, status_exit_code
+
     try:
         if args.sharded:
             # A plane directory: roll every shard's heartbeat into one
             # verdict (worst shard wins the exit code).
+            from .serve import plane_status
+
             status = plane_status(args.status_file)
         else:
             status = load_status(args.status_file)
@@ -1766,6 +1797,8 @@ def _cmd_serve_status(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 def _fleet_policy_arg(source: str):
+    from .fleet import PolicyError, load_policy
+
     try:
         return load_policy(source)
     except PolicyError as exc:
@@ -1773,6 +1806,8 @@ def _fleet_policy_arg(source: str):
 
 
 def _fleet_risk_arg(args: argparse.Namespace) -> RiskPolicy:
+    from .fleet import RiskPolicy
+
     try:
         return RiskPolicy(
             ewma_alpha=args.risk_alpha,
@@ -1859,6 +1894,9 @@ def _render_whatif_table(reports: list) -> str:
 
 
 def _cmd_fleet_whatif(args: argparse.Namespace) -> int:
+    from .fleet import run_whatif
+    from .obs import RunManifest
+
     workers = _workers_arg(args)
     predictor, model_path, model_desc = _serve_predictor(args)
     policies = [_fleet_policy_arg(p) for p in args.policy]
@@ -1948,6 +1986,18 @@ def _cmd_fleet_whatif(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
+    from .data import iter_drive_days
+    from .fleet import AuditJournal, PolicyRunner, evaluate_outcome, ground_truth
+    from .obs import RunManifest
+    from .resilience import chaos_telemetry_events, telemetry_spec_from_env
+    from .serve import (
+        AdmissionGuard,
+        DeadLetterQueue,
+        FeatureStore,
+        ScoringEngine,
+        ServeBreaker,
+    )
+
     workers = _workers_arg(args)
     predictor, model_path, model_desc = _serve_predictor(args)
     policy = _fleet_policy_arg(args.policy)
@@ -2102,6 +2152,8 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_decide(args: argparse.Namespace) -> int:
+    from .fleet import FleetHealth, FleetState, HealthError, replay_journal
+
     policy = _fleet_policy_arg(args.policy)
     try:
         health = FleetHealth.restore(args.health)
@@ -2131,6 +2183,8 @@ def _cmd_fleet_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_audit(args: argparse.Namespace) -> int:
+    from .fleet import journal_summary, read_journal, verify_journal
+
     if args.verify:
         # Exit contract: 0 verified, 1 integrity problems found, 2 the
         # journal is missing/unreadable (AuditError -> CLIError path).
@@ -2184,6 +2238,8 @@ def _cmd_fleet_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
+    from .reliability import FAULT_CLASSES, FaultInjector
+
     trace_dir = _require_trace_dir(Path(args.trace))
     classes = [c.strip() for c in args.faults.split(",") if c.strip()]
     unknown = [c for c in classes if c not in FAULT_CLASSES]
@@ -2201,6 +2257,8 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
 
 def _load_manifest_or_die(path: str) -> dict:
+    from .obs import ManifestError, load_manifest
+
     try:
         return load_manifest(path)
     except ManifestError as exc:
@@ -2208,6 +2266,8 @@ def _load_manifest_or_die(path: str) -> dict:
 
 
 def _cmd_obs_show(args: argparse.Namespace) -> int:
+    from .obs import render_manifest, validate_manifest
+
     data = _load_manifest_or_die(args.manifest)
     errors = validate_manifest(data)
     print(render_manifest(data))
@@ -2220,6 +2280,8 @@ def _cmd_obs_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
+    from .obs import diff_manifests
+
     a = _load_manifest_or_die(args.a)
     b = _load_manifest_or_die(args.b)
     diff = diff_manifests(a, b, time_regression=args.time_regression)
@@ -2249,6 +2311,8 @@ def _format_event(record: dict) -> str:
 
 
 def _cmd_obs_tail(args: argparse.Namespace) -> int:
+    from .obs import eventlog as obs_eventlog
+
     try:
         events = obs_eventlog.load_events(
             args.eventlog, min_level=args.level, kind_prefix=args.kind
@@ -2265,6 +2329,9 @@ def _cmd_obs_tail(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_slo(args: argparse.Namespace) -> int:
+    from .obs import slo as obs_slo
+    from .obs import timeline as obs_timeline
+
     try:
         spec = obs_slo.load_slo_spec(args.spec)
     except FileNotFoundError:
@@ -2298,6 +2365,8 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_bench_diff(args: argparse.Namespace) -> int:
+    from .obs.reportobs import diff_bench
+
     payloads = []
     for path in (args.a, args.b):
         try:
@@ -2318,6 +2387,10 @@ def _cmd_obs_bench_diff(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for testing and docs)."""
+    from .obs import eventlog as obs_eventlog
+    from .reliability import DEFAULT_RATES, FAULT_CLASSES
+    from .serve import Distribution
+
     parser = argparse.ArgumentParser(
         prog="repro-ssd",
         description="SSD failure study reproduction: simulate fleets, "
@@ -3118,33 +3191,13 @@ def main(argv: list[str] | None = None) -> int:
         # turns the unwind into exit 130.
         with graceful_shutdown():
             return int(args.func(args))
-    except (
-        CLIError,
-        TraceIntegrityError,
-        ManifestError,
-        FeatureStoreError,
-        RegistryError,
-        DeadLetterError,
-        ShardError,
-        AuditError,
-        FleetActionError,
-        HealthError,
-        PolicyError,
-    ) as exc:
+    except ReproError as exc:
+        # Every library error class that means exit 2 derives from the
+        # dependency-free ReproError, so mapping one loads no subsystem.
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WorkerConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WorkerCrash as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.worker_traceback:
-            print(exc.worker_traceback, file=sys.stderr)
-        return 2
-    except TraceValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.report is not None:
-            print(exc.report.render(), file=sys.stderr)
+        detail = exc.detail()
+        if detail is not None:
+            print(detail, file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)

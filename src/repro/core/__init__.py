@@ -9,37 +9,7 @@
 - :mod:`repro.core.interpret` — feature-importance reporting (Figure 16).
 """
 
-from .baselines import (
-    DEFAULT_HEURISTIC_WEIGHTS,
-    HeuristicRiskScore,
-    SingleFeatureThreshold,
-)
-from .drift import DriftReport, FeatureDrift, feature_drift_report
-from .error_prediction import ERROR_PREDICTION_TARGETS, error_event_labels
-from .features import (
-    DAILY_FEATURE_SOURCES,
-    FeatureFrame,
-    assemble_features,
-    build_features,
-    daily_matrix,
-    feature_names,
-    feature_schema_hash,
-)
-from .interpret import ImportanceReport, compare_importances, importance_report
-from .labeling import label_dataset, lookahead_labels, operational_mask
-from .pipeline import (
-    INFANCY_DAYS,
-    ModelSpec,
-    PredictionDataset,
-    build_prediction_dataset,
-    default_model_zoo,
-    evaluate_model,
-    extended_model_zoo,
-    evaluate_model_zoo,
-)
-from .policy import ThresholdChoice, expected_cost_curve, select_threshold
-from .predictor import DriveRiskReport, FailurePredictor
-from .windows import build_windowed_features, rolling_window_sums
+from .._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_HEURISTIC_WEIGHTS",
@@ -79,3 +49,40 @@ __all__ = [
     "build_windowed_features",
     "rolling_window_sums",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".baselines": (
+            "DEFAULT_HEURISTIC_WEIGHTS",
+            "HeuristicRiskScore",
+            "SingleFeatureThreshold",
+        ),
+        ".drift": ("DriftReport", "FeatureDrift", "feature_drift_report"),
+        ".error_prediction": ("ERROR_PREDICTION_TARGETS", "error_event_labels"),
+        ".features": (
+            "DAILY_FEATURE_SOURCES",
+            "FeatureFrame",
+            "assemble_features",
+            "build_features",
+            "daily_matrix",
+            "feature_names",
+            "feature_schema_hash",
+        ),
+        ".interpret": ("ImportanceReport", "compare_importances", "importance_report"),
+        ".labeling": ("label_dataset", "lookahead_labels", "operational_mask"),
+        ".pipeline": (
+            "INFANCY_DAYS",
+            "ModelSpec",
+            "PredictionDataset",
+            "build_prediction_dataset",
+            "default_model_zoo",
+            "evaluate_model",
+            "extended_model_zoo",
+            "evaluate_model_zoo",
+        ),
+        ".policy": ("ThresholdChoice", "expected_cost_curve", "select_threshold"),
+        ".predictor": ("DriveRiskReport", "FailurePredictor"),
+        ".windows": ("build_windowed_features", "rolling_window_sums"),
+    },
+)

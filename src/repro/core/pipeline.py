@@ -10,25 +10,19 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..data import DriveDayDataset, SwapLog
-from ..ml import (
-    BinaryClassifier,
-    CVResult,
-    DecisionTreeClassifier,
-    KernelSVM,
-    KNeighborsClassifier,
-    LogisticRegression,
-    MLPClassifier,
-    RandomForestClassifier,
-    cross_validate_auc,
-)
+from ..ml import BinaryClassifier
 from ..obs import tracing
 from ..simulator import FleetTrace
 from .features import FeatureFrame, build_features
 from .labeling import label_dataset
+
+if TYPE_CHECKING:
+    from ..ml import CVResult
 
 __all__ = [
     "PredictionDataset",
@@ -150,6 +144,15 @@ def default_model_zoo(seed: int = 0) -> tuple[ModelSpec, ...]:
     AUC); the values here are the best configurations found by
     ``benchmarks/ablations`` on the default simulated fleet.
     """
+    from ..ml import (
+        DecisionTreeClassifier,
+        KernelSVM,
+        KNeighborsClassifier,
+        LogisticRegression,
+        MLPClassifier,
+        RandomForestClassifier,
+    )
+
     return (
         ModelSpec(
             "Logistic Reg.",
@@ -251,6 +254,8 @@ def evaluate_model(
     ``policy``/``supervision`` route the fold fan-out through the
     supervision layer (:mod:`repro.resilience`).
     """
+    from ..ml import cross_validate_auc
+
     with tracing.span(
         "repro.core.evaluate", rows_in=len(dataset), model=spec.name
     ):

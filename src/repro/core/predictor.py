@@ -11,11 +11,12 @@ exposes feature importances for root-cause interpretation (Section 5.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..data import DriveDayDataset, SwapLog, downsample_majority
-from ..ml import BinaryClassifier, CVResult, RandomForestClassifier
+from ..ml import BinaryClassifier, RandomForestClassifier
 from ..obs import tracing
 from ..parallel import iter_tasks, resolve_workers, shard_ranges
 from ..simulator import FleetTrace
@@ -27,6 +28,9 @@ from .pipeline import (
     build_prediction_dataset,
     evaluate_model,
 )
+
+if TYPE_CHECKING:
+    from ..ml import CVResult
 
 __all__ = ["FailurePredictor", "DriveRiskReport"]
 

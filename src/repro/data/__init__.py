@@ -11,42 +11,7 @@ This package is the substrate every other layer builds on:
 - :mod:`repro.data.store` — mmap-backed columnar store (zero-copy replay).
 """
 
-from .dataset import DriveDayDataset, concat_datasets
-from .fields import (
-    DAILY_FIELDS,
-    ERROR_TYPES,
-    FIELD_DOC,
-    FIELD_DTYPES,
-    NON_TRANSPARENT_ERRORS,
-    TRANSPARENT_ERRORS,
-    WORKLOAD_FIELDS,
-)
-from .io import (
-    TraceIntegrityError,
-    export_dataset_csv,
-    iter_drive_day_chunks,
-    iter_drive_days,
-    load_dataset_checked,
-    load_dataset_npz,
-    load_drivetable_npz,
-    load_raw_columns_npz,
-    load_swaplog_npz,
-    save_dataset_npz,
-    save_drivetable_npz,
-    save_swaplog_npz,
-)
-from .sampling import class_balance, downsample_majority
-from .smart import SMART_COLUMNS, export_smart_csv, to_smart_table
-from .split import GroupKFold, grouped_train_test_split
-from .store import (
-    STORE_MAGIC,
-    STORE_SUFFIX,
-    is_store_file,
-    load_dataset_store,
-    open_store_columns,
-    save_dataset_store,
-)
-from .tables import MODEL_NAMES, DriveTable, SwapLog, model_index
+from .._lazy import lazy_exports
 
 __all__ = [
     "DriveDayDataset",
@@ -88,3 +53,45 @@ __all__ = [
     "save_drivetable_npz",
     "load_drivetable_npz",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".dataset": ("DriveDayDataset", "concat_datasets"),
+        ".fields": (
+            "DAILY_FIELDS",
+            "ERROR_TYPES",
+            "FIELD_DOC",
+            "FIELD_DTYPES",
+            "NON_TRANSPARENT_ERRORS",
+            "TRANSPARENT_ERRORS",
+            "WORKLOAD_FIELDS",
+        ),
+        ".io": (
+            "TraceIntegrityError",
+            "export_dataset_csv",
+            "iter_drive_day_chunks",
+            "iter_drive_days",
+            "load_dataset_checked",
+            "load_dataset_npz",
+            "load_drivetable_npz",
+            "load_raw_columns_npz",
+            "load_swaplog_npz",
+            "save_dataset_npz",
+            "save_drivetable_npz",
+            "save_swaplog_npz",
+        ),
+        ".sampling": ("class_balance", "downsample_majority"),
+        ".smart": ("SMART_COLUMNS", "export_smart_csv", "to_smart_table"),
+        ".split": ("GroupKFold", "grouped_train_test_split"),
+        ".store": (
+            "STORE_MAGIC",
+            "STORE_SUFFIX",
+            "is_store_file",
+            "load_dataset_store",
+            "open_store_columns",
+            "save_dataset_store",
+        ),
+        ".tables": ("MODEL_NAMES", "DriveTable", "SwapLog", "model_index"),
+    },
+)

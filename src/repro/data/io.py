@@ -21,6 +21,7 @@ from typing import Any
 
 import numpy as np
 
+from ..errors import ReproError
 from ..obs import metrics, tracing
 from . import store
 from .dataset import DriveDayDataset
@@ -56,7 +57,7 @@ def _readonly_view(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-class TraceIntegrityError(OSError):
+class TraceIntegrityError(OSError, ReproError):
     """An NPZ artifact is missing, truncated, or otherwise unreadable."""
 
 

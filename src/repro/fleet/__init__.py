@@ -25,46 +25,7 @@ order), journals are byte-identical across runs and worker counts, and
 the run held.
 """
 
-from .actions import (
-    Actuator,
-    FleetActionError,
-    FleetState,
-    STATUSES,
-    TRANSITIONS,
-    apply_entry,
-)
-from .audit import (
-    AuditEntry,
-    AuditError,
-    AuditJournal,
-    VerifyReport,
-    journal_summary,
-    read_journal,
-    replay_journal,
-    verify_journal,
-)
-from .health import FleetHealth, FleetView, HealthError, RiskPolicy
-from .policy import (
-    ACTIONS,
-    ActionCosts,
-    BasePolicy,
-    FleetAction,
-    POLICY_KINDS,
-    PolicyError,
-    ThresholdPolicy,
-    TopKPolicy,
-    load_policy,
-    policy_from_spec,
-)
-from .whatif import (
-    GroundTruth,
-    PolicyRunner,
-    RunOutcome,
-    WhatIfReport,
-    evaluate_outcome,
-    ground_truth,
-    run_whatif,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ACTIONS",
@@ -103,3 +64,49 @@ __all__ = [
     "run_whatif",
     "verify_journal",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".actions": (
+            "Actuator",
+            "FleetActionError",
+            "FleetState",
+            "STATUSES",
+            "TRANSITIONS",
+            "apply_entry",
+        ),
+        ".audit": (
+            "AuditEntry",
+            "AuditError",
+            "AuditJournal",
+            "VerifyReport",
+            "journal_summary",
+            "read_journal",
+            "replay_journal",
+            "verify_journal",
+        ),
+        ".health": ("FleetHealth", "FleetView", "HealthError", "RiskPolicy"),
+        ".policy": (
+            "ACTIONS",
+            "ActionCosts",
+            "BasePolicy",
+            "FleetAction",
+            "POLICY_KINDS",
+            "PolicyError",
+            "ThresholdPolicy",
+            "TopKPolicy",
+            "load_policy",
+            "policy_from_spec",
+        ),
+        ".whatif": (
+            "GroundTruth",
+            "PolicyRunner",
+            "RunOutcome",
+            "WhatIfReport",
+            "evaluate_outcome",
+            "ground_truth",
+            "run_whatif",
+        ),
+    },
+)

@@ -34,6 +34,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from ..errors import ReproError
 from ..obs import eventlog, metrics
 from ..obs.durable import now
 from .policy import ACTIONS, FleetAction
@@ -62,7 +63,7 @@ TRANSITIONS: dict[str, tuple[frozenset[str], str]] = {
 }
 
 
-class FleetActionError(RuntimeError):
+class FleetActionError(RuntimeError, ReproError):
     """An action's transition is illegal for the drive's current status."""
 
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
+from ..errors import ReproError
 from ..obs.durable import JsonlLog, read_jsonl
 from .actions import FleetState, apply_entry
 
@@ -64,7 +65,7 @@ AUDIT_SCHEMA_VERSION = 1
 GENESIS = "0" * 64
 
 
-class AuditError(RuntimeError):
+class AuditError(RuntimeError, ReproError):
     """An audit journal is unreadable, inconsistent, or tampered with."""
 
 

@@ -29,13 +29,15 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import ReproError
+
 __all__ = ["RiskPolicy", "FleetView", "FleetHealth", "HealthError"]
 
 #: Bumped whenever the snapshot layout changes incompatibly.
 HEALTH_SNAPSHOT_VERSION = 1
 
 
-class HealthError(RuntimeError):
+class HealthError(RuntimeError, ReproError):
     """A health snapshot is missing, corrupt, or incompatible."""
 
 

@@ -44,6 +44,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ..errors import ReproError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.policy import ThresholdChoice
     from .actions import FleetState
@@ -71,7 +73,7 @@ ACTIONS = ("replace", "quarantine", "watch", "clear")
 ESCALATION_ORDER = ("watch", "quarantine", "replace")
 
 
-class PolicyError(ValueError):
+class PolicyError(ValueError, ReproError):
     """A policy spec or parameter set is invalid."""
 
 

@@ -8,41 +8,7 @@ follows its canonical formulation and is unit/property-tested in
 ``tests/ml``.
 """
 
-from .base import BinaryClassifier, check_X, check_Xy
-from .boosting import GradientBoostingClassifier
-from .calibration import (
-    ReliabilityCurve,
-    brier_score,
-    expected_calibration_error,
-    reliability_curve,
-)
-from .forest import RandomForestClassifier
-from .linear import LogisticRegression, sigmoid
-from .metrics import (
-    ConfusionCounts,
-    confusion_at_threshold,
-    f1_score,
-    false_positive_rate,
-    precision_score,
-    roc_auc_score,
-    roc_curve,
-    true_positive_rate,
-)
-from .model_selection import (
-    CVResult,
-    GridSearchResult,
-    cross_validate_auc,
-    grid_search,
-    parameter_grid,
-)
-from .naive_bayes import GaussianNB
-from .neighbors import KNeighborsClassifier
-from .permutation import permutation_importance
-from .neural import MLPClassifier
-from .pr import average_precision_score, precision_recall_curve
-from .preprocessing import Log1pTransformer, StandardScaler
-from .svm import KernelSVM, LinearSVM, RBFSampler
-from .tree import DecisionTreeClassifier
+from .._lazy import lazy_exports
 
 __all__ = [
     "BinaryClassifier",
@@ -82,3 +48,44 @@ __all__ = [
     "RBFSampler",
     "DecisionTreeClassifier",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("BinaryClassifier", "check_X", "check_Xy"),
+        ".boosting": ("GradientBoostingClassifier",),
+        ".calibration": (
+            "ReliabilityCurve",
+            "brier_score",
+            "expected_calibration_error",
+            "reliability_curve",
+        ),
+        ".forest": ("RandomForestClassifier",),
+        ".linear": ("LogisticRegression", "sigmoid"),
+        ".metrics": (
+            "ConfusionCounts",
+            "confusion_at_threshold",
+            "f1_score",
+            "false_positive_rate",
+            "precision_score",
+            "roc_auc_score",
+            "roc_curve",
+            "true_positive_rate",
+        ),
+        ".model_selection": (
+            "CVResult",
+            "GridSearchResult",
+            "cross_validate_auc",
+            "grid_search",
+            "parameter_grid",
+        ),
+        ".naive_bayes": ("GaussianNB",),
+        ".neighbors": ("KNeighborsClassifier",),
+        ".permutation": ("permutation_importance",),
+        ".neural": ("MLPClassifier",),
+        ".pr": ("average_precision_score", "precision_recall_curve"),
+        ".preprocessing": ("Log1pTransformer", "StandardScaler"),
+        ".svm": ("KernelSVM", "LinearSVM", "RBFSampler"),
+        ".tree": ("DecisionTreeClassifier",),
+    },
+)

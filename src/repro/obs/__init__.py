@@ -32,44 +32,7 @@ activates a collector — the hot paths pay one global read when
 observability is off (measured <5 % in ``benchmarks/test_obs_overhead``).
 """
 
-from .eventlog import LEVELS, EventLog, iter_events, load_events
-from .manifest import (
-    MANIFEST_SCHEMA,
-    MANIFEST_VERSION,
-    ManifestError,
-    RunManifest,
-    config_digest,
-    file_digest,
-    load_manifest,
-    validate_manifest,
-)
-from .metrics import DEFAULT_BUCKETS, MetricsRegistry, bucket_quantile
-from .reportobs import (
-    BENCH_METRICS,
-    BenchDiff,
-    DiffEntry,
-    ManifestDiff,
-    diff_bench,
-    diff_manifests,
-    render_manifest,
-)
-from .slo import (
-    Objective,
-    ObjectiveResult,
-    SloReport,
-    SloSpec,
-    evaluate_objective,
-    evaluate_slos,
-    load_slo_spec,
-    slo_exit_code,
-)
-from .timeline import (
-    TickPolicy,
-    Timeline,
-    TimelineWindow,
-    load_timeline_jsonl,
-)
-from .tracing import Span, Tracer, traced
+from .._lazy import lazy_exports
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -110,3 +73,42 @@ __all__ = [
     "Tracer",
     "traced",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".eventlog": ("LEVELS", "EventLog", "iter_events", "load_events"),
+        ".manifest": (
+            "MANIFEST_SCHEMA",
+            "MANIFEST_VERSION",
+            "ManifestError",
+            "RunManifest",
+            "config_digest",
+            "file_digest",
+            "load_manifest",
+            "validate_manifest",
+        ),
+        ".metrics": ("DEFAULT_BUCKETS", "MetricsRegistry", "bucket_quantile"),
+        ".reportobs": (
+            "BENCH_METRICS",
+            "BenchDiff",
+            "DiffEntry",
+            "ManifestDiff",
+            "diff_bench",
+            "diff_manifests",
+            "render_manifest",
+        ),
+        ".slo": (
+            "Objective",
+            "ObjectiveResult",
+            "SloReport",
+            "SloSpec",
+            "evaluate_objective",
+            "evaluate_slos",
+            "load_slo_spec",
+            "slo_exit_code",
+        ),
+        ".timeline": ("TickPolicy", "Timeline", "TimelineWindow", "load_timeline_jsonl"),
+        ".tracing": ("Span", "Tracer", "traced"),
+    },
+)

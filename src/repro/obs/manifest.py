@@ -31,6 +31,7 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Any
 
+from ..errors import ReproError
 from . import metrics as _metrics
 from . import tracing as _tracing
 from .durable import atomic_write, now
@@ -51,7 +52,7 @@ __all__ = [
 MANIFEST_VERSION = 1
 
 
-class ManifestError(ValueError):
+class ManifestError(ValueError, ReproError):
     """A manifest file is missing, unreadable, or fails its schema."""
 
 

@@ -18,17 +18,7 @@ guarantees:
 See DESIGN.md §11 for the sharding/seed-stream scheme.
 """
 
-from .obsmerge import ObsDelta, capture_obs, merge_obs
-from .persistent import PersistentPool
-from .pool import (
-    ENV_WORKERS,
-    WorkerConfigError,
-    WorkerCrash,
-    iter_tasks,
-    resolve_workers,
-    run_tasks,
-    shard_ranges,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ENV_WORKERS",
@@ -43,3 +33,20 @@ __all__ = [
     "run_tasks",
     "shard_ranges",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".obsmerge": ("ObsDelta", "capture_obs", "merge_obs"),
+        ".persistent": ("PersistentPool",),
+        ".pool": (
+            "ENV_WORKERS",
+            "WorkerConfigError",
+            "WorkerCrash",
+            "iter_tasks",
+            "resolve_workers",
+            "run_tasks",
+            "shard_ranges",
+        ),
+    },
+)

@@ -38,6 +38,7 @@ from typing import Any
 
 import numpy as np
 
+from ..errors import ReproError
 from ..obs import metrics, tracing
 from .obsmerge import ObsDelta, capture_obs, merge_obs
 
@@ -64,7 +65,7 @@ _START_METHOD = (
 _in_worker = False
 
 
-class WorkerCrash(RuntimeError):
+class WorkerCrash(RuntimeError, ReproError):
     """A pool task failed; carries the worker-side traceback when known."""
 
     def __init__(
@@ -77,8 +78,11 @@ class WorkerCrash(RuntimeError):
         self.task_index = task_index
         self.worker_traceback = worker_traceback
 
+    def detail(self) -> str | None:
+        return self.worker_traceback or None
 
-class WorkerConfigError(ValueError):
+
+class WorkerConfigError(ValueError, ReproError):
     """Bad worker configuration (``REPRO_WORKERS`` or explicit count).
 
     Subclasses :class:`ValueError` for backward compatibility; the CLI

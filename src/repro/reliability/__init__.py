@@ -13,34 +13,7 @@ The paper studies drives that fail in the field; this package makes the
   and chunked checkpointed simulation (``repro-ssd simulate --resume``).
 """
 
-from .corruption import (
-    DEFAULT_RATES,
-    FAULT_CLASSES,
-    FaultInjector,
-    InjectedFault,
-    InjectionResult,
-    truncate_file,
-)
-from .repair import (
-    POLICIES,
-    RepairAction,
-    RepairResult,
-    TraceValidationError,
-    apply_policy,
-)
-from .runner import (
-    CheckpointStore,
-    atomic_save_npz,
-    atomic_write,
-    retry_io,
-    simulate_fleet_resumable,
-)
-from .validation import (
-    CheckResult,
-    ValidationReport,
-    validate_columns,
-    validate_trace,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_RATES",
@@ -64,3 +37,37 @@ __all__ = [
     "validate_columns",
     "validate_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".corruption": (
+            "DEFAULT_RATES",
+            "FAULT_CLASSES",
+            "FaultInjector",
+            "InjectedFault",
+            "InjectionResult",
+            "truncate_file",
+        ),
+        ".repair": (
+            "POLICIES",
+            "RepairAction",
+            "RepairResult",
+            "TraceValidationError",
+            "apply_policy",
+        ),
+        ".runner": (
+            "CheckpointStore",
+            "atomic_save_npz",
+            "atomic_write",
+            "retry_io",
+            "simulate_fleet_resumable",
+        ),
+        ".validation": (
+            "CheckResult",
+            "ValidationReport",
+            "validate_columns",
+            "validate_trace",
+        ),
+    },
+)

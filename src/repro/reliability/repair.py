@@ -30,6 +30,7 @@ import numpy as np
 
 from ..data.dataset import DriveDayDataset
 from ..data.fields import FIELD_DTYPES
+from ..errors import ReproError
 from .validation import (
     CRITICAL_COLUMNS,
     CUMULATIVE_FIELDS,
@@ -51,12 +52,15 @@ __all__ = [
 POLICIES: tuple[str, ...] = ("strict", "repair", "quarantine")
 
 
-class TraceValidationError(ValueError):
+class TraceValidationError(ValueError, ReproError):
     """A trace failed validation under the ``strict`` policy."""
 
     def __init__(self, message: str, report: ValidationReport | None = None):
         super().__init__(message)
         self.report = report
+
+    def detail(self) -> str | None:
+        return self.report.render() if self.report is not None else None
 
 
 @dataclass(frozen=True)

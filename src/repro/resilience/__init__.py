@@ -5,35 +5,7 @@ retries, poison-task quarantine, a pool-level circuit breaker, and
 graceful SIGTERM/SIGINT draining.  See DESIGN.md §12.
 """
 
-from .chaos import (
-    CHAOS_MODES,
-    ENV_CHAOS,
-    ENV_CHAOS_HANG,
-    ENV_CHAOS_SEED,
-    GARBLE_FIELDS,
-    SHARD_MODES,
-    TELEMETRY_MODES,
-    ChaosError,
-    chaos_telemetry_events,
-    garble_event,
-    parse_chaos_spec,
-    planned_fault,
-    planned_shard_kill,
-    shard_spec_from_env,
-    telemetry_spec_from_env,
-)
-from .shutdown import EXIT_INTERRUPTED, ShutdownRequested, graceful_shutdown
-from .supervisor import (
-    FailureReport,
-    PoisonTask,
-    QuarantinedRunError,
-    SupervisionLog,
-    SupervisorPolicy,
-    TaskFailure,
-    TaskTimeout,
-    force_fail,
-    supervised_iter_tasks,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "SupervisorPolicy",
@@ -64,3 +36,38 @@ __all__ = [
     "ENV_CHAOS_SEED",
     "ENV_CHAOS_HANG",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".chaos": (
+            "CHAOS_MODES",
+            "ENV_CHAOS",
+            "ENV_CHAOS_HANG",
+            "ENV_CHAOS_SEED",
+            "GARBLE_FIELDS",
+            "SHARD_MODES",
+            "TELEMETRY_MODES",
+            "ChaosError",
+            "chaos_telemetry_events",
+            "garble_event",
+            "parse_chaos_spec",
+            "planned_fault",
+            "planned_shard_kill",
+            "shard_spec_from_env",
+            "telemetry_spec_from_env",
+        ),
+        ".shutdown": ("EXIT_INTERRUPTED", "ShutdownRequested", "graceful_shutdown"),
+        ".supervisor": (
+            "FailureReport",
+            "PoisonTask",
+            "QuarantinedRunError",
+            "SupervisionLog",
+            "SupervisorPolicy",
+            "TaskFailure",
+            "TaskTimeout",
+            "force_fail",
+            "supervised_iter_tasks",
+        ),
+    },
+)

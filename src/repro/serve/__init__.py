@@ -39,70 +39,7 @@ reshard, and a SIGKILLed-and-healed shard all produce the same bytes
 (DESIGN.md §17).
 """
 
-from .batching import BatchPolicy, MicroBatcher, QueuePolicy
-from .dlq import (
-    FAULT_CLASSES,
-    HEALABLE_FAULTS,
-    REFETCHABLE_FAULTS,
-    DeadLetterEntry,
-    DeadLetterError,
-    DeadLetterQueue,
-    EventJournal,
-    HealPlan,
-    build_heal_plan,
-    canonical_event,
-    event_digest,
-)
-from .engine import ReplayResult, ScoredEvent, ScoringEngine, TelemetryConfig
-from .feature_store import (
-    FeatureStore,
-    FeatureStoreError,
-    OutOfOrderError,
-    SchemaMismatchError,
-)
-from .guard import (
-    ACCEPTED,
-    DEAD_LETTERED,
-    DUPLICATE,
-    AdmissionGuard,
-    AdmissionOutcome,
-    ChunkAdmission,
-    GuardStats,
-)
-from .health import (
-    HealthState,
-    ServeBreaker,
-    StalenessPolicy,
-    aggregate_statuses,
-    load_status,
-    render_sharded_status,
-    render_status,
-    status_exit_code,
-)
-from .loadgen import (
-    Distribution,
-    LoadProfile,
-    RVConfig,
-    arrival_sizes,
-    burst_chunks,
-    burst_slices,
-)
-from .partition import PARTITION_VERSION, PartitionMap, drive_shard, drive_shards, split_chunk
-from .registry import ModelRegistry, RegistryError
-from .shard import (
-    SHARD_SCHEMA_VERSION,
-    ShardCheckpoint,
-    ShardError,
-    ShardPaths,
-    ShardedReplayResult,
-    merged_plane_events,
-    plane_scores,
-    plane_status,
-    read_plane_manifest,
-    reshard_plane,
-    run_sharded_replay,
-)
-from .snapshots import latest_snapshot, list_generations, prune_generations, write_rotated
+from .._lazy import lazy_exports
 
 __all__ = [
     "BatchPolicy",
@@ -171,3 +108,84 @@ __all__ = [
     "prune_generations",
     "write_rotated",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".batching": ("BatchPolicy", "MicroBatcher", "QueuePolicy"),
+        ".dlq": (
+            "FAULT_CLASSES",
+            "HEALABLE_FAULTS",
+            "REFETCHABLE_FAULTS",
+            "DeadLetterEntry",
+            "DeadLetterError",
+            "DeadLetterQueue",
+            "EventJournal",
+            "HealPlan",
+            "build_heal_plan",
+            "canonical_event",
+            "event_digest",
+        ),
+        ".engine": ("ReplayResult", "ScoredEvent", "ScoringEngine", "TelemetryConfig"),
+        ".feature_store": (
+            "FeatureStore",
+            "FeatureStoreError",
+            "OutOfOrderError",
+            "SchemaMismatchError",
+        ),
+        ".guard": (
+            "ACCEPTED",
+            "DEAD_LETTERED",
+            "DUPLICATE",
+            "AdmissionGuard",
+            "AdmissionOutcome",
+            "ChunkAdmission",
+            "GuardStats",
+        ),
+        ".health": (
+            "HealthState",
+            "ServeBreaker",
+            "StalenessPolicy",
+            "aggregate_statuses",
+            "load_status",
+            "render_sharded_status",
+            "render_status",
+            "status_exit_code",
+        ),
+        ".loadgen": (
+            "Distribution",
+            "LoadProfile",
+            "RVConfig",
+            "arrival_sizes",
+            "burst_chunks",
+            "burst_slices",
+        ),
+        ".partition": (
+            "PARTITION_VERSION",
+            "PartitionMap",
+            "drive_shard",
+            "drive_shards",
+            "split_chunk",
+        ),
+        ".registry": ("ModelRegistry", "RegistryError"),
+        ".shard": (
+            "SHARD_SCHEMA_VERSION",
+            "ShardCheckpoint",
+            "ShardError",
+            "ShardPaths",
+            "ShardedReplayResult",
+            "merged_plane_events",
+            "plane_scores",
+            "plane_status",
+            "read_plane_manifest",
+            "reshard_plane",
+            "run_sharded_replay",
+        ),
+        ".snapshots": (
+            "latest_snapshot",
+            "list_generations",
+            "prune_generations",
+            "write_rotated",
+        ),
+    },
+)

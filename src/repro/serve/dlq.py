@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Any
 
 from ..data.fields import FIELD_DTYPES
+from ..errors import ReproError
 from ..obs.durable import JsonlLog, read_jsonl
 
 __all__ = [
@@ -72,7 +73,7 @@ HEALABLE_FAULTS = frozenset({"late", "shed"})
 REFETCHABLE_FAULTS = frozenset({"schema", "conflict"})
 
 
-class DeadLetterError(RuntimeError):
+class DeadLetterError(RuntimeError, ReproError):
     """A DLQ or journal file is unreadable or inconsistent."""
 
 

@@ -41,6 +41,7 @@ from ..core.features import (
     feature_schema_hash,
     fused_feature_matrix,
 )
+from ..errors import ReproError
 
 __all__ = [
     "FeatureStoreError",
@@ -52,7 +53,7 @@ __all__ = [
 _N_SOURCES = len(DAILY_FEATURE_SOURCES)
 
 
-class FeatureStoreError(RuntimeError):
+class FeatureStoreError(RuntimeError, ReproError):
     """A feature-store snapshot is unreadable or inconsistent."""
 
 

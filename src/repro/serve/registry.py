@@ -37,6 +37,7 @@ from typing import Any
 
 from ..core.features import feature_schema_hash
 from ..core.predictor import FailurePredictor
+from ..errors import ReproError
 from ..obs.manifest import config_digest, file_digest
 
 __all__ = [
@@ -50,7 +51,7 @@ _MODEL_FILE = "model.pkl"
 _META_FILE = "meta.json"
 
 
-class RegistryError(RuntimeError):
+class RegistryError(RuntimeError, ReproError):
     """A registry operation failed (missing/corrupt version, bad state)."""
 
 

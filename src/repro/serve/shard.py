@@ -59,6 +59,7 @@ import numpy as np
 from ..core.predictor import FailurePredictor
 from ..data.dataset import DriveDayDataset
 from ..data.io import iter_drive_day_chunks
+from ..errors import ReproError
 from ..obs import eventlog
 from ..obs.durable import JsonlError, atomic_write, now
 from ..reliability.runner import atomic_save_npz
@@ -96,7 +97,7 @@ _PLANE_MANIFEST = "plane.json"
 _CHAOS_MARKER = "chaos_fired"
 
 
-class ShardError(RuntimeError):
+class ShardError(RuntimeError, ReproError):
     """A shard checkpoint, journal, or plane layout is inconsistent."""
 
 

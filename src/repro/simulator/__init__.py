@@ -11,40 +11,7 @@ error signatures of failing drives (Figures 10–11) — match the paper's.
 Entry point: :func:`simulate_fleet`.
 """
 
-from .config import (
-    MLC_A,
-    MLC_B,
-    MLC_D,
-    DriveModelSpec,
-    ErrorParams,
-    FailureSymptomParams,
-    FleetConfig,
-    LifetimeParams,
-    ObservationParams,
-    RepairParams,
-    WorkloadParams,
-    default_models,
-    paper_scale_config,
-    small_fleet_config,
-)
-from .drive import DriveResult, SwapEvent, simulate_drive
-from .errors import ErrorLatents, PeriodErrors, generate_errors, sample_error_latents
-from .fleet import FleetTrace, simulate_fleet
-from .lifetime import FailureDraw, FailureMode, sample_failure
-from .repair import (
-    RepairOutcome,
-    sample_inactive_stretch,
-    sample_nonoperational_days,
-    sample_repair,
-)
-from .symptoms import SymptomPlan, plan_symptoms
-from .workload import (
-    DailyWorkload,
-    WorkloadLatents,
-    generate_workload,
-    intensity_profile,
-    sample_workload_latents,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "MLC_A",
@@ -85,3 +52,48 @@ __all__ = [
     "intensity_profile",
     "sample_workload_latents",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".config": (
+            "MLC_A",
+            "MLC_B",
+            "MLC_D",
+            "DriveModelSpec",
+            "ErrorParams",
+            "FailureSymptomParams",
+            "FleetConfig",
+            "LifetimeParams",
+            "ObservationParams",
+            "RepairParams",
+            "WorkloadParams",
+            "default_models",
+            "paper_scale_config",
+            "small_fleet_config",
+        ),
+        ".drive": ("DriveResult", "SwapEvent", "simulate_drive"),
+        ".errors": (
+            "ErrorLatents",
+            "PeriodErrors",
+            "generate_errors",
+            "sample_error_latents",
+        ),
+        ".fleet": ("FleetTrace", "simulate_fleet"),
+        ".lifetime": ("FailureDraw", "FailureMode", "sample_failure"),
+        ".repair": (
+            "RepairOutcome",
+            "sample_inactive_stretch",
+            "sample_nonoperational_days",
+            "sample_repair",
+        ),
+        ".symptoms": ("SymptomPlan", "plan_symptoms"),
+        ".workload": (
+            "DailyWorkload",
+            "WorkloadLatents",
+            "generate_workload",
+            "intensity_profile",
+            "sample_workload_latents",
+        ),
+    },
+)

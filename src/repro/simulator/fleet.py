@@ -18,6 +18,7 @@ any ``N`` — scheduling never touches a random stream.  See DESIGN.md §11.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,7 +27,9 @@ from ..data.fields import FIELD_DTYPES
 from ..obs import metrics, tracing
 from ..parallel import iter_tasks, resolve_workers, shard_ranges
 from .config import DriveModelSpec, FleetConfig, default_models
-from .drive import _RECORD_COLUMNS, DriveResult, simulate_drive
+
+if TYPE_CHECKING:
+    from .drive import DriveResult
 
 __all__ = ["FleetTrace", "simulate_fleet", "concat_traces"]
 
@@ -105,6 +108,10 @@ def simulate_fleet(
         :func:`repro.reliability.simulate_fleet_resumable` for runs that
         must survive poison tasks.
     """
+    # The simulation engine loads here, not with FleetTrace, and before
+    # the sharded path forks its workers.
+    from .drive import simulate_drive
+
     config = config or FleetConfig()
     models = models or default_models()
     n_total = config.n_drives_per_model * len(models)
@@ -156,6 +163,8 @@ def simulate_fleet(
 
 def _simulate_shard(task: tuple) -> FleetTrace:
     """Pool task: simulate one contiguous drive range into a partial trace."""
+    from .drive import simulate_drive
+
     config, models, lo, hi, seeds, deploy_days = task
     with tracing.span("repro.simulator.shard", n_drives=hi - lo) as sp:
         results = []
@@ -251,6 +260,8 @@ def _assemble(results: list[DriveResult], config: FleetConfig) -> FleetTrace:
 
 
 def _assemble_inner(results: list[DriveResult], config: FleetConfig) -> FleetTrace:
+    from .drive import _RECORD_COLUMNS
+
     # --- telemetry records ------------------------------------------------
     # Columns are preallocated at their registry storage dtypes and filled
     # one drive-slice at a time — no per-drive intermediate arrays and no

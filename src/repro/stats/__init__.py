@@ -4,13 +4,8 @@ Small, dependency-light estimators used throughout the characterization
 sections of the reproduction (Tables 1–5, Figures 1–11).
 """
 
-from .bootstrap import BootstrapResult, bootstrap_ci
-from .correlation import rankdata, spearman, spearman_matrix
-from .ecdf import ECDF, CensoredECDF, censored_ecdf, ecdf
-from .hazard import BinnedRate, binned_failure_rate, exposure_from_intervals
-from .ks import KSResult, ks_two_sample
-from .quantiles import QuantileBands, binned_quantiles
-from .survival import KaplanMeier, kaplan_meier
+from .._lazy import lazy_exports
+from .ecdf import ECDF, CensoredECDF, censored_ecdf, ecdf  # eager: also a submodule
 
 __all__ = [
     "BootstrapResult",
@@ -32,3 +27,15 @@ __all__ = [
     "KSResult",
     "ks_two_sample",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".bootstrap": ("BootstrapResult", "bootstrap_ci"),
+        ".correlation": ("rankdata", "spearman", "spearman_matrix"),
+        ".hazard": ("BinnedRate", "binned_failure_rate", "exposure_from_intervals"),
+        ".ks": ("KSResult", "ks_two_sample"),
+        ".quantiles": ("QuantileBands", "binned_quantiles"),
+        ".survival": ("KaplanMeier", "kaplan_meier"),
+    },
+)

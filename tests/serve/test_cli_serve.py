@@ -183,7 +183,6 @@ class TestReplay:
 
     def test_divergence_exits_one(self, served, monkeypatch, capsys):
         # Fabricate a divergence: perturb one online score after replay.
-        from repro import cli as cli_mod
         from repro.serve import ScoringEngine
 
         original = ScoringEngine.replay
@@ -193,7 +192,7 @@ class TestReplay:
             result.probability[0] += 0.5
             return result
 
-        monkeypatch.setattr(cli_mod.ScoringEngine, "replay", skewed)
+        monkeypatch.setattr(ScoringEngine, "replay", skewed)
         code = main(
             [
                 "serve",

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import signal
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import CLIError, build_parser, main
+from repro.data import TraceIntegrityError
+from repro.fleet import AuditError, FleetActionError, HealthError, PolicyError
+from repro.obs import ManifestError
+from repro.parallel import WorkerConfigError, WorkerCrash
+from repro.reliability import TraceValidationError
+from repro.reliability.validation import ValidationReport
+from repro.resilience import ShutdownRequested
+from repro.serve import DeadLetterError, FeatureStoreError, RegistryError, ShardError
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +165,76 @@ class TestErrorHandling:
         assert code == 2
         err = capsys.readouterr().err
         assert "strict policy" in err and "values." in err
+
+
+_REPORT = ValidationReport(n_rows=3)
+
+#: (raised by a command handler, exit code, stderr lines) for every
+#: exception class main() maps to an exit code.
+EXIT_CASES = [
+    *(
+        pytest.param(cls("bad input"), 2, ["error: bad input"], id=cls.__name__)
+        for cls in (
+            CLIError,
+            TraceIntegrityError,
+            ManifestError,
+            FeatureStoreError,
+            RegistryError,
+            DeadLetterError,
+            ShardError,
+            AuditError,
+            FleetActionError,
+            HealthError,
+            PolicyError,
+            WorkerConfigError,
+        )
+    ),
+    pytest.param(
+        WorkerCrash("task 3 died", worker_traceback="Traceback: boom"),
+        2,
+        ["error: task 3 died", "Traceback: boom"],
+        id="WorkerCrash",
+    ),
+    pytest.param(
+        TraceValidationError("rejected by the strict policy", report=_REPORT),
+        2,
+        ["error: rejected by the strict policy", *_REPORT.render().splitlines()],
+        id="TraceValidationError",
+    ),
+    pytest.param(
+        FileNotFoundError(2, "No such file or directory", "gone.npz"),
+        2,
+        ["error: missing file: gone.npz"],
+        id="FileNotFoundError",
+    ),
+    pytest.param(
+        ShutdownRequested(signal.SIGTERM),
+        130,
+        [
+            "interrupted (SIGTERM): in-flight tasks drained, completed chunks "
+            "checkpointed; rerun with --resume to continue"
+        ],
+        id="ShutdownRequested",
+    ),
+]
+
+
+class TestExitCodeMapping:
+    """main() turns each error a handler raises into its exit code and
+    stderr lines, whichever subsystem defines the class."""
+
+    @pytest.mark.parametrize("exc, code, lines", EXIT_CASES)
+    def test_handler_error(self, exc, code, lines, monkeypatch, capsys):
+        import repro.cli as cli_mod
+
+        def _raise(args):
+            raise exc
+
+        monkeypatch.setattr(cli_mod, "_cmd_obs_tail", _raise)
+        assert main(["obs", "tail", "events.jsonl"]) == code
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == lines
+        assert captured.out == ""
 
 
 class TestReliabilityCommands:
@@ -446,12 +526,14 @@ class TestResilienceCLI:
 
     def test_interrupt_during_simulate_exits_130(self, tmp_path, monkeypatch,
                                                  capsys):
-        import repro.cli as cli_mod
+        import repro.reliability
 
         def _interrupt(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli_mod, "simulate_fleet_resumable", _interrupt)
+        # The simulate handler imports its runner from repro.reliability
+        # when it runs, so the patch goes on the package.
+        monkeypatch.setattr(repro.reliability, "simulate_fleet_resumable", _interrupt)
         code = _simulate(tmp_path / "fleet", extra=["--workers", "2"])
         err = capsys.readouterr().err
         assert code == 130
@@ -462,13 +544,13 @@ class TestResilienceCLI:
                                           capsys):
         import signal as signal_mod
 
-        import repro.cli as cli_mod
+        import repro.reliability
         from repro.resilience import ShutdownRequested
 
         def _interrupt(*args, **kwargs):
             raise ShutdownRequested(signal_mod.SIGTERM)
 
-        monkeypatch.setattr(cli_mod, "simulate_fleet_resumable", _interrupt)
+        monkeypatch.setattr(repro.reliability, "simulate_fleet_resumable", _interrupt)
         code = _simulate(tmp_path / "fleet")
         err = capsys.readouterr().err
         assert code == 130
@@ -476,13 +558,13 @@ class TestResilienceCLI:
 
     def test_interrupt_during_train_exits_130(self, trace_dir, tmp_path,
                                               monkeypatch, capsys):
-        import repro.cli as cli_mod
+        import repro.core
 
         class _Interrupting:
             def __init__(self, *args, **kwargs):
                 raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli_mod, "FailurePredictor", _Interrupting)
+        monkeypatch.setattr(repro.core, "FailurePredictor", _Interrupting)
         code = main(["train", "--trace", str(trace_dir), "--model",
                      str(tmp_path / "model.pkl"), "--workers", "2"])
         err = capsys.readouterr().err
