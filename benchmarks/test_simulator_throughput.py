@@ -5,11 +5,10 @@ steady-state throughput of the hot paths: fleet simulation, feature
 extraction, and forest scoring.
 
 The floor tests at the bottom pin the committed throughput targets of
-the columnar overhaul against the seed baseline
-(``benchmarks/baselines/BENCH_sim.json`` records both).  They need a
-quiet box — wall-clock assertions on a loaded CI sandbox measure the
-neighbours, not the code — so they skip below four cores like
-``test_serve_throughput.py``.
+the columnar overhaul against the seed baseline (the constants below
+record both).  They need a quiet box — wall-clock assertions on a
+loaded CI sandbox measure the neighbours, not the code — so they skip
+below four cores like ``test_serve_throughput.py``.
 """
 
 import os

@@ -25,6 +25,7 @@ from ..errors import ReproError
 from ..obs import metrics, tracing
 from . import store
 from .dataset import DriveDayDataset
+from .npz import atomic_save_npz
 from .tables import DriveTable, SwapLog
 
 __all__ = [
@@ -61,13 +62,6 @@ class TraceIntegrityError(OSError, ReproError):
     """An NPZ artifact is missing, truncated, or otherwise unreadable."""
 
 
-def _atomic_savez(path: Path, **arrays: np.ndarray) -> None:
-    # Local import: repro.reliability imports repro.data at module load.
-    from ..reliability.runner import atomic_save_npz
-
-    atomic_save_npz(path, **arrays)
-
-
 def _load_npz(path: str | Path) -> dict[str, np.ndarray]:
     """Read every array of an NPZ or columnar store file.
 
@@ -98,7 +92,7 @@ def _load_npz(path: str | Path) -> dict[str, np.ndarray]:
 def save_dataset_npz(dataset: DriveDayDataset, path: str | Path) -> None:
     """Atomically write a :class:`DriveDayDataset` to a ``.npz`` file."""
     with tracing.span("repro.data.save_records", rows_in=len(dataset)):
-        _atomic_savez(Path(path), **{k: v for k, v in dataset.items()})
+        atomic_save_npz(Path(path), **{k: v for k, v in dataset.items()})
     metrics.inc("repro_rows_total", len(dataset), stage="data.save_records")
 
 
@@ -306,7 +300,7 @@ _SWAP_COLS = (
 
 def save_swaplog_npz(log: SwapLog, path: str | Path) -> None:
     """Atomically write a :class:`SwapLog` to a ``.npz`` file."""
-    _atomic_savez(Path(path), **{c: getattr(log, c) for c in _SWAP_COLS})
+    atomic_save_npz(Path(path), **{c: getattr(log, c) for c in _SWAP_COLS})
 
 
 def load_swaplog_npz(path: str | Path) -> SwapLog:
@@ -328,7 +322,7 @@ _DRIVE_COLS = ("drive_id", "model", "deploy_day", "end_of_observation_age")
 
 def save_drivetable_npz(table: DriveTable, path: str | Path) -> None:
     """Atomically write a :class:`DriveTable` to a ``.npz`` file."""
-    _atomic_savez(Path(path), **{c: getattr(table, c) for c in _DRIVE_COLS})
+    atomic_save_npz(Path(path), **{c: getattr(table, c) for c in _DRIVE_COLS})
 
 
 def load_drivetable_npz(path: str | Path) -> DriveTable:

@@ -16,7 +16,7 @@ trustworthy that estimate is right now:
 Updates fold left in event order, exactly like the serving feature
 store, so the state after N events is a pure function of the event
 sequence — snapshots are deterministic NPZ files
-(:func:`repro.reliability.runner.atomic_save_npz`, fixed zip metadata)
+(:func:`repro.data.npz.atomic_save_npz`, fixed zip metadata)
 and two identical streams produce byte-identical snapshots.
 """
 
@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..data.npz import atomic_save_npz
 from ..errors import ReproError
 
 __all__ = ["RiskPolicy", "FleetView", "FleetHealth", "HealthError"]
@@ -198,8 +199,6 @@ class FleetHealth:
     # -------------------------------------------------------------- snapshots
     def snapshot(self, path: str | Path) -> Path:
         """Atomically persist the full state as a deterministic NPZ."""
-        from ..reliability.runner import atomic_save_npz
-
         path = Path(path)
         ids = np.asarray(sorted(self._state), dtype=np.int64)
         arr = np.empty((len(ids), 6), dtype=np.float64)

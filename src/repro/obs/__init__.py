@@ -21,9 +21,8 @@ of them (so instrumentation can never create an import cycle):
 - :mod:`repro.obs.manifest` — the per-run manifest (config hash, seeds,
   file digests, stage timings, validation tallies) written atomically
   next to every artifact;
-- :mod:`repro.obs.reportobs` — human-readable summaries, ``obs diff``
-  drift detection between two manifests and ``obs bench-diff``
-  benchmark-regression classification.
+- :mod:`repro.obs.reportobs` — human-readable summaries and ``obs diff``
+  drift detection between two manifests.
 
 Instrumented code calls :func:`repro.obs.tracing.span` /
 :func:`repro.obs.metrics.inc` / :func:`repro.obs.timeline.record` /
@@ -46,11 +45,8 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "MetricsRegistry",
     "bucket_quantile",
-    "BENCH_METRICS",
-    "BenchDiff",
     "DiffEntry",
     "ManifestDiff",
-    "diff_bench",
     "diff_manifests",
     "render_manifest",
     "LEVELS",
@@ -90,11 +86,8 @@ __getattr__, __dir__ = lazy_exports(
         ),
         ".metrics": ("DEFAULT_BUCKETS", "MetricsRegistry", "bucket_quantile"),
         ".reportobs": (
-            "BENCH_METRICS",
-            "BenchDiff",
             "DiffEntry",
             "ManifestDiff",
-            "diff_bench",
             "diff_manifests",
             "render_manifest",
         ),

@@ -23,11 +23,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = [
-    "BENCH_METRICS",
-    "BenchDiff",
     "DiffEntry",
     "ManifestDiff",
-    "diff_bench",
     "diff_manifests",
     "render_manifest",
 ]
@@ -170,106 +167,6 @@ def diff_manifests(
                     round(tb, 4),
                 )
             )
-    return diff
-
-
-# --------------------------------------------------------------------------
-# benchmark diffs (obs bench-diff)
-# --------------------------------------------------------------------------
-
-#: Benchmark metrics compared by default: name -> which direction is
-#: *better*.  A regression is a move in the other direction beyond the
-#: allowed fraction.  Keys absent from either payload are skipped.
-BENCH_METRICS: dict[str, str] = {
-    "events_per_second": "higher",
-    "latency_p50_us": "lower",
-    "latency_p95_us": "lower",
-    "latency_p99_us": "lower",
-}
-
-#: Context keys whose mismatch makes two bench files non-comparable.
-_BENCH_CONTEXT = ("n_events", "n_drives", "workers", "chunk_rows")
-
-
-@dataclass
-class BenchDiff:
-    """Classified differences between two benchmark payloads."""
-
-    regressions: list[DiffEntry] = field(default_factory=list)
-    improvements: list[DiffEntry] = field(default_factory=list)
-    warnings: list[DiffEntry] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when no metric regressed beyond its threshold."""
-        return not self.regressions
-
-    def render(self) -> str:
-        lines = [
-            f"Bench diff: {len(self.regressions)} regression(s), "
-            f"{len(self.improvements)} improvement(s), "
-            f"{len(self.warnings)} warning(s)"
-        ]
-        for entry in self.regressions:
-            lines.append(f"  REGRESSION {entry}")
-        for entry in self.improvements:
-            lines.append(f"  better     {entry}")
-        for entry in self.warnings:
-            lines.append(f"  warn       {entry}")
-        lines.append("Result: " + ("OK" if self.ok else "REGRESSED"))
-        return "\n".join(lines)
-
-
-def diff_bench(
-    a: Mapping[str, Any],
-    b: Mapping[str, Any],
-    max_regression: float = 0.2,
-    thresholds: Mapping[str, float] | None = None,
-) -> BenchDiff:
-    """Compare two ``BENCH_*.json`` payloads (``a`` = baseline).
-
-    ``max_regression`` is the default allowed fractional move in the
-    *worse* direction (0.2 = 20 % slower throughput or higher latency);
-    ``thresholds`` overrides it per metric name.  Mismatched workload
-    context (event counts, worker counts) and a baseline-only/candidate-
-    only metric are warnings — the numbers still print, but comparability
-    is suspect.  A candidate that lost scoring parity is always a
-    regression, whatever the numbers say.
-    """
-    if max_regression < 0:
-        raise ValueError("max_regression must be >= 0")
-    diff = BenchDiff()
-    for key in _BENCH_CONTEXT:
-        if key in a and key in b and a[key] != b[key]:
-            diff.warnings.append(DiffEntry("context", key, a[key], b[key]))
-    if bool(a.get("parity", True)) and not bool(b.get("parity", True)):
-        diff.regressions.append(
-            DiffEntry("parity", "parity", a.get("parity"), b.get("parity"))
-        )
-    for name, better in BENCH_METRICS.items():
-        if name not in a or name not in b:
-            if name in a or name in b:
-                diff.warnings.append(
-                    DiffEntry("missing", name, a.get(name), b.get(name))
-                )
-            continue
-        va, vb = float(a[name]), float(b[name])
-        if va <= 0:
-            diff.warnings.append(DiffEntry("baseline", name, va, vb))
-            continue
-        frac = (va - vb) / va if better == "higher" else (vb - va) / va
-        allowed = (
-            float(thresholds[name])
-            if thresholds and name in thresholds
-            else max_regression
-        )
-        entry = DiffEntry(
-            f"{frac:+.1%} vs {allowed:.0%} allowed", name, va, vb
-        )
-        if frac > allowed:
-            diff.regressions.append(entry)
-        elif -frac > allowed:
-            diff.improvements.append(entry)
     return diff
 
 

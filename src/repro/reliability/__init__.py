@@ -56,9 +56,9 @@ __getattr__, __dir__ = lazy_exports(
             "TraceValidationError",
             "apply_policy",
         ),
+        "..data.npz": ("atomic_save_npz",),
         ".runner": (
             "CheckpointStore",
-            "atomic_save_npz",
             "atomic_write",
             "retry_io",
             "simulate_fleet_resumable",

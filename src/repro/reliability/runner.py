@@ -3,9 +3,10 @@
 Three building blocks, used by :mod:`repro.data.io` and the CLI:
 
 - :func:`atomic_write` (re-exported from :mod:`repro.obs.durable`, the
-  one atomic write) / :func:`atomic_save_npz` built on it — tmp-file +
-  ``fsync`` + rename, so a killed process never leaves a half-written
-  artifact where a reader expects a whole one;
+  one atomic write) / :func:`atomic_save_npz` (re-exported from
+  :mod:`repro.data.npz`, built on it) — tmp-file + ``fsync`` + rename,
+  so a killed process never leaves a half-written artifact where a
+  reader expects a whole one;
 - :func:`retry_io` — bounded retries with exponential backoff + jitter
   for transient I/O failures (network filesystems, busy volumes);
 - :func:`simulate_fleet_resumable` — chunked, checkpointed fleet
@@ -18,7 +19,6 @@ Three building blocks, used by :mod:`repro.data.io` and the CLI:
 
 from __future__ import annotations
 
-import io
 import json
 import time
 import zipfile
@@ -31,6 +31,7 @@ from typing import Any
 import numpy as np
 
 from ..data import DriveDayDataset, DriveTable, SwapLog
+from ..data.npz import atomic_save_npz
 from ..obs import metrics, tracing
 from ..obs.durable import atomic_write
 from ..parallel import iter_tasks, resolve_workers
@@ -56,31 +57,6 @@ __all__ = [
     "CheckpointStore",
     "simulate_fleet_resumable",
 ]
-
-
-#: Fixed zip entry timestamp (the zip epoch) for deterministic archives.
-_NPZ_EPOCH = (1980, 1, 1, 0, 0, 0)
-
-
-def atomic_save_npz(path: str | Path, **arrays: np.ndarray) -> None:
-    """Atomic, *deterministic* replacement for :func:`numpy.savez_compressed`.
-
-    Unlike ``np.savez_compressed``, zip entries carry a fixed timestamp,
-    so two runs with the same seed produce byte-identical artifacts —
-    required for ``repro-ssd obs diff`` to report zero drift between
-    same-seed runs (manifests digest every output file).
-    """
-    with atomic_write(path, "wb") as fh:
-        with zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_DEFLATED) as zf:
-            for name, array in arrays.items():
-                buf = io.BytesIO()
-                np.lib.format.write_array(
-                    buf, np.asanyarray(array), allow_pickle=False
-                )
-                info = zipfile.ZipInfo(name + ".npy", date_time=_NPZ_EPOCH)
-                info.compress_type = zipfile.ZIP_DEFLATED
-                info.external_attr = 0o600 << 16
-                zf.writestr(info, buf.getvalue())
 
 
 def retry_io(

@@ -35,6 +35,7 @@ in the caller-visible :class:`SupervisionLog`.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import time
 import traceback
@@ -277,6 +278,10 @@ def _inc(name: str) -> None:
     metrics.inc(name, help=RESILIENCE_COUNTERS[name])
 
 
+#: How often an idle worker checks that its parent is still alive.
+_PARENT_CHECK_SECONDS = 0.5
+
+
 def _supervised_worker_main(
     conn: Any,
     fn: Callable[[Any], Any],
@@ -291,8 +296,16 @@ def _supervised_worker_main(
     worker failures, which is exactly what the drill wants.
     """
     _pool._mark_worker(initializer, initargs)
+    # A SIGKILLed parent never sends the stop message, and forked siblings
+    # hold copies of its pipe ends, so EOF never comes either: an idle
+    # worker checks between polls that its parent is still there.
+    parent = multiprocessing.parent_process()
+    ppid = os.getppid()
     while True:
         try:
+            while not conn.poll(_PARENT_CHECK_SECONDS):
+                if os.getppid() != ppid or not parent.is_alive():
+                    return
             item = conn.recv()
         except (EOFError, OSError):
             break

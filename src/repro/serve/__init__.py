@@ -24,9 +24,7 @@ would those models run in production".  Seven pieces:
 - :mod:`repro.serve.shard` — the sharded serving plane: supervised
   shard processes, checkpoint/journal failover, and resharding;
 - :mod:`repro.serve.snapshots` — rotated keep-last-K snapshot
-  generations under atomic writes;
-- :mod:`repro.serve.loadgen` — the seeded synthetic arrival-process
-  generator behind ``serve bench``.
+  generations under atomic writes.
 
 The cornerstone invariant is *online/offline parity*: for any trace,
 streaming it through the engine yields exactly the probabilities the
@@ -97,12 +95,6 @@ __all__ = [
     "read_plane_manifest",
     "reshard_plane",
     "run_sharded_replay",
-    "Distribution",
-    "LoadProfile",
-    "RVConfig",
-    "arrival_sizes",
-    "burst_chunks",
-    "burst_slices",
     "latest_snapshot",
     "list_generations",
     "prune_generations",
@@ -151,14 +143,6 @@ __getattr__, __dir__ = lazy_exports(
             "render_sharded_status",
             "render_status",
             "status_exit_code",
-        ),
-        ".loadgen": (
-            "Distribution",
-            "LoadProfile",
-            "RVConfig",
-            "arrival_sizes",
-            "burst_chunks",
-            "burst_slices",
         ),
         ".partition": (
             "PARTITION_VERSION",

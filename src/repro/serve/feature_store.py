@@ -18,7 +18,7 @@ Two ingest shapes share one code path:
   ``(drive_id, age_days)`` order (the replay/backfill hot path), which
   folds whole per-drive runs with vectorized segment cumsums.
 
-State snapshots go through :func:`repro.reliability.runner.atomic_save_npz`
+State snapshots go through :func:`repro.data.npz.atomic_save_npz`
 — deterministic bytes (rows sorted by drive id, fixed zip timestamps), so
 ``snapshot → restore → snapshot`` round-trips bit-identically and a
 SIGKILLed server resumes with exactly the scores it would have produced.
@@ -41,6 +41,7 @@ from ..core.features import (
     feature_schema_hash,
     fused_feature_matrix,
 )
+from ..data.npz import atomic_save_npz
 from ..errors import ReproError
 
 __all__ = [
@@ -344,8 +345,6 @@ class FeatureStore:
         NPZ writer pins zip timestamps, so equal states produce equal
         bytes (the chaos drill compares snapshot digests directly).
         """
-        from ..reliability.runner import atomic_save_npz
-
         path = Path(path)
         atomic_save_npz(path, **self.state_arrays())
         return path

@@ -59,10 +59,10 @@ import numpy as np
 from ..core.predictor import FailurePredictor
 from ..data.dataset import DriveDayDataset
 from ..data.io import iter_drive_day_chunks
+from ..data.npz import atomic_save_npz
 from ..errors import ReproError
 from ..obs import eventlog
 from ..obs.durable import JsonlError, atomic_write, now
-from ..reliability.runner import atomic_save_npz
 from ..resilience.chaos import planned_shard_kill, shard_spec_from_env
 from .dlq import DeadLetterQueue, EventJournal
 from .engine import ScoringEngine, TelemetryConfig
@@ -428,17 +428,6 @@ def run_shard_task(
     chunks = iter_drive_day_chunks(
         source, chunk_rows=int(plan.get("chunk_rows") or 4096)
     )
-    if plan.get("load_profile"):
-        # Bench mode: the seeded arrival process decides how many rows
-        # each delivery carries (scores are per-row, so bytes cannot
-        # change — only the batching pattern the shards absorb).
-        from .loadgen import LoadProfile, burst_chunks
-
-        chunks = burst_chunks(
-            chunks,
-            int(plan["n_rows"]),
-            LoadProfile.from_dict(plan["load_profile"]),
-        )
     n_batches = 0
     n_diverted = 0
     n_duplicates = 0
@@ -676,7 +665,6 @@ def run_sharded_replay(
     workers: int | None = None,
     policy: Any | None = None,
     supervision: Any | None = None,
-    load_profile: Any | None = None,
 ) -> ShardedReplayResult:
     """Replay a trace through ``n_shards`` supervised scorer shards.
 
@@ -712,9 +700,6 @@ def run_sharded_replay(
         "checkpoint_every": checkpoint_every,
         "checkpoint_keep": checkpoint_keep,
         "n_rows": n_rows,
-        "load_profile": (
-            None if load_profile is None else load_profile.to_dict()
-        ),
     }
     results: list[dict | None] = [None] * n_shards
     for index, result in supervised_iter_tasks(

@@ -109,7 +109,7 @@ class TestWhatif:
         manifest = load_manifest(
             staged["fleet"] / "fleet_whatif_manifest.json"
         )
-        validate_manifest(manifest)
+        assert validate_manifest(manifest) == []
         assert manifest["command"] == "fleet.whatif"
         assert manifest["fleet"]["policy_kind"] in {"threshold", "topk"}
 
@@ -147,7 +147,7 @@ class TestRun:
         state = json.loads((ran / "state.json").read_text())
         assert set(state) == {"chain", "policy", "state", "state_digest"}
         manifest = load_manifest(ran / "fleet_run_manifest.json")
-        validate_manifest(manifest)
+        assert validate_manifest(manifest) == []
         assert manifest["command"] == "fleet.run"
         assert manifest["fleet"]["chain"] == state["chain"]
         assert manifest["fleet"]["state_digest"] == state["state_digest"]

@@ -1,7 +1,7 @@
-"""CLI tests for `obs tail`, `obs slo`, and `obs bench-diff`.
+"""CLI tests for `obs tail` and `obs slo`.
 
-These commands operate on artifacts (event logs, timeline exports, bench
-payloads), so the tests craft files directly — no fleet required.
+These commands operate on artifacts (event logs, timeline exports), so
+the tests craft files directly — no fleet required.
 """
 
 from __future__ import annotations
@@ -155,90 +155,3 @@ class TestObsSlo:
         )
         assert code == 2
         assert "--timeline-out" in capsys.readouterr().err
-
-
-class TestObsBenchDiff:
-    BASE = {
-        "n_events": 1000,
-        "n_drives": 30,
-        "workers": 1,
-        "chunk_rows": 8192,
-        "parity": True,
-        "events_per_second": 10000.0,
-        "latency_p50_us": 100.0,
-        "latency_p95_us": 200.0,
-        "latency_p99_us": 400.0,
-        "latency_events": 500,
-        "elapsed_seconds": 0.1,
-    }
-
-    def _write(self, tmp_path, name, **over):
-        body = dict(self.BASE)
-        body.update(over)
-        path = tmp_path / name
-        path.write_text(json.dumps(body))
-        return path
-
-    def test_identical_payloads_ok(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json")
-        b = self._write(tmp_path, "b.json")
-        assert main(["obs", "bench-diff", str(a), str(b)]) == 0
-        assert "Result: OK" in capsys.readouterr().out
-
-    def test_throughput_regression_exits_one(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json")
-        b = self._write(tmp_path, "b.json", events_per_second=5000.0)
-        assert main(["obs", "bench-diff", str(a), str(b)]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_latency_regression_exits_one(self, tmp_path):
-        a = self._write(tmp_path, "a.json")
-        b = self._write(tmp_path, "b.json", latency_p99_us=4000.0)
-        assert main(["obs", "bench-diff", str(a), str(b)]) == 1
-
-    def test_max_regression_loosens_gate(self, tmp_path):
-        a = self._write(tmp_path, "a.json")
-        b = self._write(tmp_path, "b.json", events_per_second=5000.0)
-        assert (
-            main(
-                [
-                    "obs",
-                    "bench-diff",
-                    str(a),
-                    str(b),
-                    "--max-regression",
-                    "0.9",
-                ]
-            )
-            == 0
-        )
-
-    def test_parity_loss_always_regresses(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json")
-        b = self._write(tmp_path, "b.json", parity=False)
-        assert (
-            main(
-                [
-                    "obs",
-                    "bench-diff",
-                    str(a),
-                    str(b),
-                    "--max-regression",
-                    "0.99",
-                ]
-            )
-            == 1
-        )
-
-    def test_context_mismatch_warns_not_fails(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json")
-        b = self._write(tmp_path, "b.json", workers=4)
-        assert main(["obs", "bench-diff", str(a), str(b)]) == 0
-        assert "warning" in capsys.readouterr().out.lower()
-
-    def test_not_a_bench_payload_exits_two(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"something": "else"}))
-        assert main(["obs", "bench-diff", str(a), str(bad)]) == 2
-        assert "not a `serve bench" in capsys.readouterr().err

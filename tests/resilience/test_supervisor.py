@@ -8,10 +8,18 @@ monkeypatched environment.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs import metrics, tracing
 from repro.parallel import ObsDelta, WorkerCrash, iter_tasks, merge_obs
 from repro.resilience import (
@@ -29,6 +37,7 @@ from repro.resilience import (
 )
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
+SRC = Path(repro.__file__).resolve().parents[1]
 
 fork_only = pytest.mark.skipif(
     not HAVE_FORK, reason="supervised pool tests rely on the fork start method"
@@ -480,3 +489,59 @@ class TestIterTasksDelegation:
         monkeypatch.setenv(ENV_CHAOS, "error=1.0")
         out = list(iter_tasks(_square, list(range(4)), workers=2))
         assert out == [(i, i * i) for i in range(4)]
+
+
+#: Keeps a 2-worker supervised pool open with both workers idle, prints
+#: their pids and waits to be killed.
+_IDLE_POOL_PARENT = """
+import json, multiprocessing, time
+from repro.resilience import supervised_iter_tasks
+
+results = supervised_iter_tasks(abs, range(4), workers=2)
+next(results)
+print(json.dumps([p.pid for p in multiprocessing.active_children()]), flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pids: list[int]) -> list[int]:
+    """The pids that still run (a zombie has exited and counts as gone)."""
+    running = []
+    for pid in pids:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:
+            continue
+        if stat.rsplit(")", 1)[1].split()[0] != "Z":
+            running.append(pid)
+    return running
+
+
+@fork_only
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_parent_is_killed(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _IDLE_POOL_PARENT],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        with parent:
+            try:
+                pids = json.loads(parent.stdout.readline())
+            finally:
+                parent.kill()
+        assert len(pids) == 2
+        try:
+            deadline = time.monotonic() + 5.0
+            while _running(pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _running(pids) == []
+        finally:
+            for pid in _running(pids):
+                os.kill(pid, signal.SIGKILL)

@@ -79,7 +79,6 @@ class TestParser:
         argvs = {
             "replay": ["serve", "replay", "--trace", "x", "--model", "m"],
             "publish": ["serve", "publish", "--model", "m", "--registry", "r"],
-            "bench": ["serve", "bench"],
             "run": ["serve", "run", "--model", "m"],
             "heal": ["serve", "heal", "--model", "m", "--journal", "j"],
         }
@@ -99,7 +98,6 @@ class TestParser:
             ["train", "--trace", "t", "--model", "m"],
             ["score", "--trace", "t", "--model", "m"],
             ["serve", "replay", "--trace", "t", "--model", "m"],
-            ["serve", "bench"],
         ):
             args = parser.parse_args(argv + ["-j", "2", "--max-retries", "5"])
             assert args.workers == 2
@@ -847,37 +845,6 @@ class TestReplayTelemetry:
         assert "bad SLO spec" in capsys.readouterr().err
 
 
-class TestBench:
-    def test_bench_writes_artifact_and_verifies_parity(
-        self, tmp_path, capsys
-    ):
-        out = tmp_path / "BENCH_serve.json"
-        code = main(
-            [
-                "serve",
-                "bench",
-                "--drives",
-                "8",
-                "--days",
-                "200",
-                "--seed",
-                "5",
-                "--latency-events",
-                "64",
-                "--json-out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["parity"] is True
-        assert payload["events_per_second"] > 0
-        assert payload["latency_p50_us"] <= payload["latency_p99_us"]
-        data = load_manifest(str(out) + ".manifest.json")
-        assert validate_manifest(data) == []
-        assert data["command"] == "serve.bench"
-
-
 class TestShardCLI:
     def test_shard_out_is_byte_identical_to_replay_out(
         self, served, tmp_path, capsys
@@ -921,6 +888,26 @@ class TestShardCLI:
         assert "bit-for-bit" in capsys.readouterr().out
         # The acceptance gate, at the artifact level: the sharded plane
         # writes the same bytes the serial replay does.
+        assert sharded.read_bytes() == serial.read_bytes()
+
+    def test_shard_out_without_parity_matches_replay_out(
+        self, served, tmp_path, capsys
+    ):
+        # --out reads the source rows itself: skipping the parity
+        # baseline must not leave it without drive ids and ages.
+        serial = tmp_path / "serial.jsonl"
+        sharded = tmp_path / "sharded.jsonl"
+        source = ["--trace", str(served["fleet"]), "--model", str(served["model"])]
+        assert main(["serve", "replay", *source, "--out", str(serial)]) == 0
+        code = main(
+            [
+                "serve", "shard", *source, "--shards", "2",
+                "--plane", str(tmp_path / "plane"), "--no-parity",
+                "--out", str(sharded),
+            ]
+        )
+        assert code == 0
+        assert "parity not checked" in capsys.readouterr().out
         assert sharded.read_bytes() == serial.read_bytes()
 
     def test_shard_manifest_validates(self, served, tmp_path):
@@ -1026,39 +1013,6 @@ class TestShardCLI:
         )
         assert code == 2
         assert "--trace" in capsys.readouterr().err
-
-    def test_bench_sharded_payload(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_serve_sharded.json"
-        code = main(
-            [
-                "serve",
-                "bench",
-                "--drives",
-                "8",
-                "--days",
-                "200",
-                "--seed",
-                "5",
-                "--latency-events",
-                "64",
-                "--shards",
-                "2",
-                "--arrival",
-                "log_normal",
-                "--arrival-mean",
-                "512",
-                "--arrival-variance",
-                "65536",
-                "--json-out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["parity"] is True
-        assert payload["shards"] == 2
-        assert payload["arrival"]["distribution"] == "log_normal"
-        assert payload["events_per_second"] > 0
 
 
 class TestSnapshotRetention:

@@ -225,12 +225,10 @@ class TestExitCodeMapping:
 
     @pytest.mark.parametrize("exc, code, lines", EXIT_CASES)
     def test_handler_error(self, exc, code, lines, monkeypatch, capsys):
-        import repro.cli as cli_mod
-
         def _raise(args):
             raise exc
 
-        monkeypatch.setattr(cli_mod, "_cmd_obs_tail", _raise)
+        monkeypatch.setattr("repro.cli.obs._cmd_obs_tail", _raise)
         assert main(["obs", "tail", "events.jsonl"]) == code
         captured = capsys.readouterr()
         assert captured.err.splitlines() == lines

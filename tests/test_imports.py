@@ -54,7 +54,7 @@ def _loaded(prefixes: tuple[str, ...], modules: list[str]) -> list[str]:
 
 
 def test_every_package_is_covered():
-    assert len(PACKAGES) == 13, PACKAGES
+    assert len(PACKAGES) == 14, PACKAGES
 
 
 class TestLazyExports:
@@ -189,6 +189,24 @@ class TestImportSurface:
         assert "repro.serve.engine" in modules and "repro.fleet.audit" in modules
         assert _loaded(SERVING_FREE, modules) == []
 
+    def test_snapshot_writes_load_no_simulator(self, tmp_path):
+        modules = _run(
+            f"""
+            import json, sys
+            from repro.fleet import FleetHealth
+            from repro.serve import FeatureStore
+
+            health = FleetHealth()
+            health.observe(7, 30, 0.25, 100)
+            health.snapshot({str(tmp_path / "health.npz")!r})
+            FeatureStore().snapshot({str(tmp_path / "store.npz")!r})
+            print(json.dumps(sorted(sys.modules)))
+            """
+        )
+        assert (tmp_path / "health.npz").exists()
+        assert (tmp_path / "store.npz").exists()
+        assert _loaded(("repro.simulator",), modules) == []
+
     @pytest.fixture
     def gate_inputs(self, tmp_path):
         from repro.fleet import AuditEntry, AuditJournal
@@ -236,6 +254,44 @@ class TestImportSurface:
         assert result["code"] == 0, result["out"]
         assert result["out"]
         assert _loaded(SERVING_FREE, result["modules"]) == []
+
+    def test_cli_import_loads_no_command_group_or_numpy(self):
+        modules = _run(
+            """
+            import json, sys
+            import repro.cli
+            print(json.dumps(sorted(sys.modules)))
+            """
+        )
+        assert _loaded(CLI_GROUPS + ("numpy",), modules) == []
+
+    @pytest.mark.parametrize(
+        "argv, group",
+        [(["serve", "status", "{status}"], "repro.cli.serve"),
+         (["obs", "tail", "{events}"], "repro.cli.obs")],
+        ids=["serve-status", "obs-tail"],
+    )
+    def test_light_command_builds_one_group_and_loads_no_numpy(
+        self, gate_inputs, argv, group
+    ):
+        argv = [a.format(**gate_inputs) for a in argv]
+        result = _run(
+            f"""
+            import contextlib, io, json, sys
+            from repro.cli import main
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main({argv!r})
+            print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
+            """
+        )
+        assert result["code"] == 0
+        assert _loaded(CLI_GROUPS, result["modules"]) == [group]
+        assert _loaded(("numpy",), result["modules"]) == []
+
+
+#: The CLI's command-group modules; ``main`` imports only the one it runs.
+CLI_GROUPS = ("repro.cli.trace", "repro.cli.serve", "repro.cli.fleet", "repro.cli.obs")
 
 
 #: The per-event serving path: a function-level import there would run
