@@ -1,12 +1,12 @@
 """Supervision overhead: the watchdog + retry machinery must cost < 5%.
 
 The resilience acceptance criterion (DESIGN.md §12) is that a clean
-4-worker simulate pays less than 5% wall-clock for running under the
-supervised pool (per-task deadlines armed, retry bookkeeping active,
-chaos hooks consulted) relative to the legacy fail-fast pool on the same
-worker count.  A clean run takes zero retries and zero timeouts, so any
-overhead is pure supervision bookkeeping — pipe polling, deadline
-arithmetic, and the per-task fault-plan lookup.
+4-worker simulate pays less than 5% wall-clock for running under a
+supervision policy (per-task deadlines armed, retries allowed) relative
+to the fail-fast policy (``policy=None``: no retry, no deadline) on the
+same pool and worker count.  A clean run takes zero retries and zero
+timeouts, so any overhead is pure supervision bookkeeping — deadline
+arithmetic and the watchdog's wake-ups.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ SLO spec the telemetry flags ask for; and opens every record file (DLQ,
 event journal, audit journal) under the active event log, so a torn-tail
 repair reaches ``--eventlog``.  On a clean exit it flushes the
 telemetry, records workers and supervision, and writes the manifest and
-the ``--metrics-out`` dump.
+the ``--metrics-out`` dump.  Every exit, clean or raising, closes the
+command's scoring engine, so no worker outlives the command.
 """
 
 from __future__ import annotations
@@ -337,7 +338,8 @@ class Run:
     policy: SupervisorPolicy | None = None
     supervision: SupervisionLog | None = None
     #: From the telemetry flags.  The engine built with it goes in
-    #: ``engine``, whose final heartbeat the exit flush writes.
+    #: ``engine``, whose final heartbeat the exit flush writes and whose
+    #: workers every exit reaps.
     telemetry: TelemetryConfig | None = None
     engine: ScoringEngine | None = None
     #: Set on a clean exit.
@@ -398,9 +400,13 @@ def run_context(
         if log is not None:
             stack.enter_context(eventlog.activate(log))
         with run.files:
-            yield run
-            if tl is not None:
-                run.slo_report = _flush_telemetry(args, run, tl, log)
+            try:
+                yield run
+                if tl is not None:
+                    run.slo_report = _flush_telemetry(args, run, tl, log)
+            finally:
+                if run.engine is not None:
+                    run.engine.close()
     for path in run.opened:
         if path.exists():
             run.manifest.add_output(path)

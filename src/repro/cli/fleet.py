@@ -151,7 +151,12 @@ def _cmd_fleet_whatif(args: argparse.Namespace) -> int:
         trace_inputs(run.manifest, Path(args.trace))
         run.manifest.add_input(model_path)
         # Score once; every policy replays the same byte-exact stream.
-        probs = predictor.predict_proba_records(trace.records, workers=run.workers)
+        probs = predictor.predict_proba_records(
+            trace.records,
+            workers=run.workers,
+            policy=run.policy,
+            supervision=run.supervision,
+        )
         reports = [
             run_whatif(
                 trace,
@@ -255,6 +260,8 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
             predictor,
             store=store,
             workers=run.workers,
+            policy=run.policy,
+            supervision=run.supervision,
             guard=guard,
             telemetry=run.telemetry,
             on_scored=runner.feed,

@@ -209,12 +209,16 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             )
         # The parity gate: the offline batch pipeline over the same
         # records must reproduce the streamed scores bit-for-bit.
-        records = load_dataset_npz(records_path)
         check_parity = (
             not args.no_parity
             and not telem_spec
             and result.n_diverted == 0
             and result.n_duplicates == 0
+        )
+        records = (
+            load_dataset_npz(records_path)
+            if check_parity or (args.out and scored_events is None)
+            else None
         )
         diverged = 0
         if check_parity:

@@ -18,7 +18,7 @@ import numpy as np
 from ..data import DriveDayDataset, SwapLog, downsample_majority
 from ..ml import BinaryClassifier, RandomForestClassifier
 from ..obs import tracing
-from ..parallel import iter_tasks, resolve_workers, shard_ranges
+from ..parallel import resolve_workers, shard_ranges
 from ..simulator import FleetTrace
 from .features import build_features
 from .pipeline import (
@@ -31,6 +31,7 @@ from .pipeline import (
 
 if TYPE_CHECKING:
     from ..ml import CVResult
+    from ..resilience import SupervisedPool
 
 __all__ = ["FailurePredictor", "DriveRiskReport"]
 
@@ -70,22 +71,6 @@ class _DefaultForestFactory:
         )
 
 
-#: Fitted models + feature matrix shared by scoring shards, installed
-#: once per worker process (see :func:`_set_score_state`).
-_score_state: tuple | None = None
-
-
-def _set_score_state(
-    models: dict[str, BinaryClassifier],
-    age_partitioned: bool,
-    infancy_days: int,
-    X: np.ndarray,
-    age_days: np.ndarray,
-) -> None:
-    global _score_state
-    _score_state = (models, age_partitioned, infancy_days, X, age_days)
-
-
 def _score_block(
     models: dict[str, BinaryClassifier],
     age_partitioned: bool,
@@ -93,7 +78,7 @@ def _score_block(
     X: np.ndarray,
     age_days: np.ndarray,
 ) -> np.ndarray:
-    """Score one block of rows — the serial path and both pool tasks call it."""
+    """Score one block of rows — the serial path and the pool task call it."""
     if not age_partitioned:
         return models["all"].predict_proba(X)
     out = np.empty(X.shape[0])
@@ -105,20 +90,8 @@ def _score_block(
     return out
 
 
-def _score_shard(task: tuple) -> np.ndarray:
-    """Pool task: score one contiguous row range of the installed matrix."""
-    lo, hi = task
-    assert _score_state is not None, "score state not installed"
-    models, age_partitioned, infancy_days, X, age_days = _score_state
-    return _score_block(
-        models, age_partitioned, infancy_days, X[lo:hi], age_days[lo:hi]
-    )
-
-
-#: Fitted models only — the warm-pool analogue of :data:`_score_state`.
-#: Installed once per persistent-pool worker; each call then ships just
-#: the row slices, never the model bundle (see
-#: :class:`repro.parallel.PersistentPool`).
+#: Fitted models, installed once per pool worker by :meth:`scoring_pool`;
+#: each call then ships just the row slices, never the model bundle.
 _model_state: tuple | None = None
 
 
@@ -132,7 +105,7 @@ def _set_model_state(
 
 
 def _score_rows_task(task: tuple) -> np.ndarray:
-    """Warm-pool task: score a shipped ``(X_rows, age_days)`` slice."""
+    """Pool task: score a shipped ``(X_rows, age_days)`` slice."""
     X, age_days = task
     assert _model_state is not None, "model state not installed"
     models, age_partitioned, infancy_days = _model_state
@@ -272,23 +245,33 @@ class FailurePredictor:
                 supervision=supervision,
             )
 
-    def scoring_pool(self, workers: int | None = None) -> "PersistentPool":
+    def scoring_pool(
+        self,
+        workers: int | None = None,
+        policy: object | None = None,
+        supervision: object | None = None,
+    ) -> "SupervisedPool":
         """A warm worker pool with this predictor's models pre-installed.
 
-        The returned :class:`repro.parallel.PersistentPool` pickles the
-        model bundle into each worker exactly once; pass it to
+        The returned :class:`repro.resilience.SupervisedPool` installs
+        the model bundle in each worker exactly once; pass it to
         :meth:`predict_proba_matrix` (``pool=``) so repeated scoring
         calls — the per-chunk loop of ``serve replay`` — ship only row
-        slices.  Caller owns the pool's lifetime (``close()``).
+        slices.  ``policy``/``supervision`` supervise every call, with
+        quarantine forced off (the shards concatenate into one
+        probability vector, so a hole would be silent corruption).
+        Caller owns the pool's lifetime (``close()``).
         """
-        from ..parallel.persistent import PersistentPool
+        from ..resilience.supervisor import SupervisedPool, force_fail
 
         self._require_fitted()
-        return PersistentPool(
-            workers=workers,
+        return SupervisedPool(
+            workers,
             initializer=_set_model_state,
             initargs=(self._models, self.age_partitioned, self.infancy_days),
             label="repro.core.predict",
+            policy=force_fail(policy),
+            supervision=supervision,
         )
 
     def predict_proba_matrix(
@@ -298,7 +281,7 @@ class FailurePredictor:
         workers: int | None = None,
         policy: object | None = None,
         supervision: object | None = None,
-        pool: "PersistentPool | None" = None,
+        pool: "SupervisedPool | None" = None,
     ) -> np.ndarray:
         """Failure probability for every row of a raw feature matrix.
 
@@ -308,55 +291,28 @@ class FailurePredictor:
         per-row (trees traverse each row independently), so the output is
         bit-identical for any batch split and any ``workers`` count.
 
-        A serial call (one resolved worker, no ``policy``) scores the
-        whole matrix as one block in-process: no sharding, no task
-        plumbing, and no reference to ``X`` outlives the call.
+        A serial call (one resolved worker, no ``policy``, no ``pool``)
+        scores the whole matrix as one block in-process: no sharding, no
+        task plumbing, and no reference to ``X`` outlives the call.
 
-        ``pool`` routes the fan-out through a warm
-        :meth:`scoring_pool` instead of building a fresh process pool
-        per call; row sharding matches the per-call path exactly, so
-        bytes are identical either way.  Ignored when a supervisor
-        ``policy`` is given (retries need the supervised pool).
+        Otherwise the rows are cut into :func:`~repro.parallel.shard_ranges`
+        slices and scored on ``pool`` — a warm :meth:`scoring_pool` — or,
+        without one, on a pool built for this call from ``workers``,
+        ``policy`` and ``supervision``.
         """
         self._require_fitted()
         if pool is None and policy is None and resolve_workers(workers) == 1:
             return _score_block(
                 self._models, self.age_partitioned, self.infancy_days, X, age_days
             )
-        n = X.shape[0]
-        if pool is not None and policy is None:
-            age = np.asarray(age_days)
-            tasks = [
-                (X[lo:hi], age[lo:hi])
-                for lo, hi in shard_ranges(n, pool.workers)
-            ]
-            parts = pool.run(_score_rows_task, tasks)
-            return np.concatenate(parts) if parts else np.empty(0)
-        state = (
-            self._models,
-            self.age_partitioned,
-            self.infancy_days,
-            X,
-            age_days,
-        )
-        tasks = shard_ranges(n, resolve_workers(workers))
-        if policy is not None:
-            from ..resilience.supervisor import force_fail
-
-            policy = force_fail(policy)
-        parts = [
-            part
-            for _, part in iter_tasks(
-                _score_shard,
-                tasks,
-                workers=workers,
-                label="repro.core.predict",
-                initializer=_set_score_state,
-                initargs=state,
-                policy=policy,
-                supervision=supervision,
-            )
+        if pool is None:
+            with self.scoring_pool(workers, policy, supervision) as pool:
+                return self.predict_proba_matrix(X, age_days, pool=pool)
+        age = np.asarray(age_days)
+        tasks = [
+            (X[lo:hi], age[lo:hi]) for lo, hi in shard_ranges(X.shape[0], pool.workers)
         ]
+        parts = [part for _, part in pool.imap(_score_rows_task, tasks)]
         return np.concatenate(parts) if parts else np.empty(0)
 
     def predict_proba_records(

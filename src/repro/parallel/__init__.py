@@ -10,6 +10,8 @@ guarantees:
    output; ``workers=4`` produces byte-identical artifacts to serial.
 2. **Serial fallback.**  ``workers=1`` (the default), unpicklable
    payloads, and unavailable pools all run the same code in-process.
+   Pooled work runs on the workers of
+   :class:`repro.resilience.SupervisedPool`, the package's one pool.
 3. **Observability survives fan-out.**  Workers capture spans/metrics
    locally and ship the delta back for merge into the parent collector
    (:mod:`~repro.parallel.obsmerge`), so run manifests and Prometheus
@@ -23,7 +25,6 @@ from .._lazy import lazy_exports
 __all__ = [
     "ENV_WORKERS",
     "ObsDelta",
-    "PersistentPool",
     "WorkerConfigError",
     "WorkerCrash",
     "capture_obs",
@@ -38,7 +39,6 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".obsmerge": ("ObsDelta", "capture_obs", "merge_obs"),
-        ".persistent": ("PersistentPool",),
         ".pool": (
             "ENV_WORKERS",
             "WorkerConfigError",

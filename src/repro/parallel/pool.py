@@ -10,14 +10,19 @@ both paths share:
   function over a task list with ``N`` worker processes, yielding
   results strictly in task order no matter which worker finishes first;
 - serial fallback — ``workers=1``, a single task, an unpicklable
-  payload, or a pool that cannot start all run the exact same code path
+  payload, or a pool that cannot start all call the function directly
   in-process, so parallelism is an optimization, never a requirement;
-- observability — each task runs under :func:`~.obsmerge.capture_obs`
-  and its span/metric delta is merged into the parent's collectors as
-  the result is consumed (in task order, so merges are deterministic);
+- observability — each pooled task runs under
+  :func:`~.obsmerge.capture_obs` and its span/metric delta is merged
+  into the parent's collectors as the result is consumed (in task order,
+  so merges are deterministic);
 - clean failure — a task that raises (or a worker that dies outright)
-  surfaces as :class:`WorkerCrash` carrying the worker-side traceback;
-  the CLI maps it to exit code 2 instead of hanging.
+  surfaces as :class:`WorkerCrash` for the lowest failing task, carrying
+  the worker-side traceback; the CLI maps it to exit code 2 instead of
+  hanging.
+
+The workers are those of :class:`repro.resilience.SupervisedPool`, the
+package's one pool; without a ``policy`` it runs fail-fast.
 
 Worker counts resolve as: explicit argument > ``REPRO_WORKERS`` env var
 > 1 (serial).  Inside a pool worker the resolution is pinned to 1, so
@@ -27,20 +32,13 @@ fork-bomb the machine.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
-import traceback
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 import numpy as np
 
 from ..errors import ReproError
-from ..obs import metrics, tracing
-from .obsmerge import ObsDelta, capture_obs, merge_obs
 
 __all__ = [
     "ENV_WORKERS",
@@ -54,12 +52,6 @@ __all__ = [
 
 #: Environment variable consulted when no explicit worker count is given.
 ENV_WORKERS = "REPRO_WORKERS"
-
-#: Preferred start method: fork is cheap and inherits read-only state;
-#: spawn is the portable fallback.
-_START_METHOD = (
-    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-)
 
 #: Set in pool children: nested resolve_workers() calls stay serial.
 _in_worker = False
@@ -143,34 +135,6 @@ def _mark_worker(
         extra_init(*extra_args)
 
 
-def _call_task(payload: tuple) -> tuple:
-    """Worker-side trampoline: run one task under private obs collectors.
-
-    Returns ``("ok", result, None, delta)`` or, when the task raises,
-    ``("error", summary, traceback_text, delta)`` — exceptions travel as
-    data so unpicklable exception types cannot poison the result queue.
-    """
-    fn, task, want_obs = payload
-    with capture_obs(enabled=want_obs) as delta:
-        try:
-            result = fn(task)
-        except Exception as exc:
-            return (
-                "error",
-                f"{type(exc).__name__}: {exc}",
-                traceback.format_exc(),
-                delta,
-            )
-    return ("ok", result, None, delta)
-
-
-def _iter_serial(
-    fn: Callable[[Any], Any], tasks: list[Any]
-) -> Iterator[tuple[int, Any]]:
-    for i, task in enumerate(tasks):
-        yield i, fn(task)
-
-
 def iter_tasks(
     fn: Callable[[Any], Any],
     tasks: Iterable[Any],
@@ -201,98 +165,18 @@ def iter_tasks(
         once per process instead of once per task).  Also invoked
         in-process on the serial path, so ``fn`` can rely on it.
     policy, supervision:
-        A :class:`repro.resilience.SupervisorPolicy` routes execution
-        through the supervised pool (deadlines, retries, quarantine,
-        circuit breaker); ``supervision`` optionally receives the
-        :class:`~repro.resilience.SupervisionLog`.  ``None`` keeps the
-        plain fail-fast pool below.
+        A :class:`repro.resilience.SupervisorPolicy` adds deadlines,
+        retries, quarantine and the circuit breaker; ``supervision``
+        optionally receives the :class:`~repro.resilience.SupervisionLog`.
+        ``None`` is fail-fast: the first failed attempt ends the run.
     """
-    if policy is not None:
-        # Lazy import: resilience sits above parallel in the layering.
-        from ..resilience.supervisor import supervised_iter_tasks
+    # Lazy import: resilience sits above parallel in the layering.
+    from ..resilience.supervisor import SupervisedPool
 
-        yield from supervised_iter_tasks(
-            fn,
-            tasks,
-            workers=workers,
-            policy=policy,
-            label=label,
-            initializer=initializer,
-            initargs=initargs,
-            supervision=supervision,
-        )
-        return
-    tasks = list(tasks)
-    if not tasks:
-        return
-    workers = min(resolve_workers(workers), len(tasks))
-    if workers <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        yield from _iter_serial(fn, tasks)
-        return
-
-    want_obs = tracing.current() is not None or metrics.current() is not None
-    payloads = [(fn, task, want_obs) for task in tasks]
-    try:
-        pickle.dumps((payloads[0], initializer, initargs))
-    except Exception:
-        # Unpicklable work (e.g. a lambda model factory): stay serial.
-        if initializer is not None:
-            initializer(*initargs)
-        yield from _iter_serial(fn, tasks)
-        return
-
-    ctx = multiprocessing.get_context(_START_METHOD)
-    try:
-        executor = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=ctx,
-            initializer=_mark_worker,
-            initargs=(initializer, initargs),
-        )
-    except (OSError, ValueError):
-        # No pool available (resource limits, sandboxes): stay serial.
-        if initializer is not None:
-            initializer(*initargs)
-        yield from _iter_serial(fn, tasks)
-        return
-    try:
-        futures = [executor.submit(_call_task, p) for p in payloads]
-        for i, future in enumerate(futures):
-            try:
-                status, value, tb_text, delta = future.result()
-            except BrokenProcessPool as exc:
-                raise WorkerCrash(
-                    f"{label}: worker process died while running task {i} "
-                    "(killed or crashed hard); partial results discarded",
-                    task_index=i,
-                ) from exc
-            except Exception as exc:
-                raise WorkerCrash(
-                    f"{label}: could not run task {i}: {exc}", task_index=i
-                ) from exc
-            if isinstance(delta, ObsDelta):
-                merge_obs(delta)
-            if status == "error":
-                raise WorkerCrash(
-                    f"{label}: task {i} failed in worker: {value}",
-                    task_index=i,
-                    worker_traceback=tb_text,
-                )
-            yield i, value
-    except BaseException:
-        # KeyboardInterrupt / GeneratorExit: shutdown(wait=False) alone
-        # would leak live workers (and hang the interpreter on a wedged
-        # one) — kill them outright before unwinding.
-        for proc in list(getattr(executor, "_processes", {}).values()):
-            try:
-                proc.kill()
-            except (OSError, AttributeError):  # pragma: no cover
-                pass
-        raise
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
+    with SupervisedPool(
+        workers, initializer, initargs, label, policy, supervision
+    ) as pool:
+        yield from pool.imap(fn, tasks)
 
 
 def run_tasks(

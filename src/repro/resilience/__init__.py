@@ -1,8 +1,9 @@
-"""repro.resilience — supervised execution for the parallel layer.
+"""repro.resilience — the worker pool and its supervision.
 
-Wraps :mod:`repro.parallel` with per-task deadlines, deterministic
-retries, poison-task quarantine, a pool-level circuit breaker, and
-graceful SIGTERM/SIGINT draining.  See DESIGN.md §12.
+:class:`SupervisedPool` runs every fan-out of :mod:`repro.parallel`,
+with per-task deadlines, deterministic retries, poison-task quarantine,
+a pool-level circuit breaker, and graceful SIGTERM/SIGINT draining.
+See DESIGN.md §12.
 """
 
 from .._lazy import lazy_exports
@@ -15,6 +16,7 @@ __all__ = [
     "TaskTimeout",
     "PoisonTask",
     "QuarantinedRunError",
+    "SupervisedPool",
     "supervised_iter_tasks",
     "force_fail",
     "ShutdownRequested",
@@ -62,6 +64,7 @@ __getattr__, __dir__ = lazy_exports(
             "FailureReport",
             "PoisonTask",
             "QuarantinedRunError",
+            "SupervisedPool",
             "SupervisionLog",
             "SupervisorPolicy",
             "TaskFailure",

@@ -1,9 +1,13 @@
-"""Supervised execution: deadlines, deterministic retries, quarantine.
+"""The one worker pool, and its supervision: deadlines, retries, quarantine.
 
-:func:`supervised_iter_tasks` is a drop-in for
-:func:`repro.parallel.pool.iter_tasks` that adds a supervision layer on
-top of the same task model (module-level ``fn`` mapped over a task
-list, results yielded strictly in task order):
+:class:`SupervisedPool` is the only process pool in the package.  Its
+workers (forked where the platform allows) each run the pool's
+initializer once and then serve :meth:`SupervisedPool.imap` calls until
+the owner closes the pool, so a caller that fans out repeatedly (the
+serving engine's per-chunk scoring) ships its large state once.  Every
+``imap`` call maps a module-level ``fn`` over a task list and yields
+``(index, result)`` strictly in task order, under a supervision layer
+counted per call:
 
 - **deadlines** — a parent-side watchdog polls every in-flight task;
   one that outlives ``policy.task_timeout`` gets its worker SIGKILLed
@@ -18,7 +22,8 @@ list, results yielded strictly in task order):
   ``on_poison="quarantine"`` the run completes every healthy task and
   the report lands in the :class:`SupervisionLog` (and from there in
   the run manifest); under ``on_poison="fail"`` a
-  :class:`PoisonTask`/:class:`TaskTimeout` is raised immediately;
+  :class:`PoisonTask`/:class:`TaskTimeout` is raised in the task's
+  place in the yielded order;
 - **circuit breaker** — ``pool_crash_threshold`` worker deaths (OOM
   kills, fork failures, hard crashes) trip the run to serial
   in-process execution, preserving per-task attempt budgets;
@@ -26,6 +31,12 @@ list, results yielded strictly in task order):
   while supervising stops dispatch, drains in-flight tasks, yields the
   completed in-order prefix (so the caller can checkpoint it), then
   re-raises for the CLI to exit 130.
+
+Without a policy a pool is fail-fast (:data:`_FAIL_FAST`: no retry, no
+deadline, no drain wait), which is how :func:`repro.parallel.iter_tasks`
+runs; :func:`supervised_iter_tasks` is a one-shot pool under a policy.
+Either way a failed pooled call raises for its lowest failing task
+index, so the reported error does not depend on the worker count.
 
 Every retry/timeout/crash/quarantine event increments the counters
 named in :data:`repro.obs.metrics.RESILIENCE_COUNTERS` and is tallied
@@ -39,6 +50,7 @@ import os
 import pickle
 import time
 import traceback
+import weakref
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
@@ -47,7 +59,7 @@ from typing import Any
 from ..obs import metrics, tracing
 from ..obs.metrics import RESILIENCE_COUNTERS
 from ..parallel import pool as _pool
-from ..parallel.obsmerge import merge_obs
+from ..parallel.obsmerge import capture_obs, merge_obs
 from . import chaos
 from .shutdown import ShutdownRequested
 
@@ -59,6 +71,7 @@ __all__ = [
     "TaskTimeout",
     "PoisonTask",
     "QuarantinedRunError",
+    "SupervisedPool",
     "supervised_iter_tasks",
 ]
 
@@ -125,8 +138,9 @@ class SupervisorPolicy:
         anything (one parent schedules all retries) but would make run
         timings irreproducible.
     on_poison:
-        ``"fail"`` raises :class:`PoisonTask`/:class:`TaskTimeout` at the
-        first exhausted task; ``"quarantine"`` records a
+        ``"fail"`` raises :class:`PoisonTask`/:class:`TaskTimeout` for the
+        lowest exhausted task, once every result before it is yielded;
+        ``"quarantine"`` records a
         :class:`FailureReport`, skips the task's slot, and lets every
         healthy task finish.
     pool_crash_threshold:
@@ -259,6 +273,17 @@ class SupervisionLog:
 # internal task/worker bookkeeping
 # --------------------------------------------------------------------------
 
+#: Preferred start method: fork is cheap and inherits read-only state;
+#: spawn is the portable fallback.
+_START_METHOD = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
+
+#: The policy of a pool built without one: the first failed attempt
+#: fails the call, no deadline, and no wait for in-flight work on
+#: shutdown.
+_FAIL_FAST = SupervisorPolicy(max_retries=0, drain_grace=0.0)
+
 #: Slot marker for a quarantined task (never yielded to the caller).
 _QUARANTINED = object()
 
@@ -278,22 +303,50 @@ def _inc(name: str) -> None:
     metrics.inc(name, help=RESILIENCE_COUNTERS[name])
 
 
+def _pickles(obj: Any) -> bool:
+    try:
+        pickle.dumps(obj)
+    except Exception:
+        return False
+    return True
+
+
+def _call_task(fn: Callable[[Any], Any], task: Any, want_obs: bool) -> tuple:
+    """Run one task under private obs collectors.
+
+    Returns ``("ok", result, None, delta)`` or, when the task raises,
+    ``("error", summary, traceback_text, delta)`` — exceptions travel as
+    data so unpicklable exception types cannot poison the result pipe.
+    """
+    with capture_obs(enabled=want_obs) as delta:
+        try:
+            result = fn(task)
+        except Exception as exc:
+            return (
+                "error",
+                f"{type(exc).__name__}: {exc}",
+                traceback.format_exc(),
+                delta,
+            )
+    return ("ok", result, None, delta)
+
+
 #: How often an idle worker checks that its parent is still alive.
 _PARENT_CHECK_SECONDS = 0.5
 
 
 def _supervised_worker_main(
     conn: Any,
-    fn: Callable[[Any], Any],
     initializer: Callable[..., None] | None,
     initargs: tuple,
-    want_obs: bool,
 ) -> None:
-    """Worker loop: receive ``(index, attempt, task)``, send the outcome.
+    """Worker loop: receive ``(index, attempt, fn, want_obs, task)``, send
+    the outcome, until told to stop or orphaned.
 
-    Exceptions travel back as data (the :func:`~repro.parallel.pool._call_task`
-    protocol); chaos faults injected here are indistinguishable from real
-    worker failures, which is exactly what the drill wants.
+    The initializer runs once, so the state it installs serves every
+    call the worker takes.  Chaos faults injected here are
+    indistinguishable from real worker failures, which is exactly what
+    the drill wants.
     """
     _pool._mark_worker(initializer, initargs)
     # A SIGKILLed parent never sends the stop message, and forked siblings
@@ -311,10 +364,10 @@ def _supervised_worker_main(
             break
         if item is None:
             break
-        index, attempt, task = item
+        index, attempt, fn, want_obs, task = item
         try:
             chaos.maybe_inject(index, attempt)
-            out = _pool._call_task((fn, task, want_obs))
+            out = _call_task(fn, task, want_obs)
         except chaos.ChaosError as exc:
             out = ("error", f"ChaosError: {exc}", traceback.format_exc(), None)
         try:
@@ -337,23 +390,21 @@ def _supervised_worker_main(
 
 
 class _WorkerHandle:
-    """One supervised worker process plus its dedicated message pipe."""
+    """One worker process plus its dedicated message pipe."""
 
     __slots__ = ("conn", "process", "state", "deadline")
 
     def __init__(
         self,
         ctx: multiprocessing.context.BaseContext,
-        fn: Callable[[Any], Any],
         initializer: Callable[..., None] | None,
         initargs: tuple,
-        want_obs: bool,
     ):
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.conn = parent_conn
         self.process = ctx.Process(
             target=_supervised_worker_main,
-            args=(child_conn, fn, initializer, initargs, want_obs),
+            args=(child_conn, initializer, initargs),
             daemon=True,
         )
         self.process.start()
@@ -361,8 +412,14 @@ class _WorkerHandle:
         self.state: _TaskState | None = None
         self.deadline: float | None = None
 
-    def assign(self, state: _TaskState, policy: SupervisorPolicy) -> None:
-        self.conn.send((state.index, state.attempts, state.payload))
+    def assign(
+        self,
+        state: _TaskState,
+        fn: Callable[[Any], Any],
+        want_obs: bool,
+        policy: SupervisorPolicy,
+    ) -> None:
+        self.conn.send((state.index, state.attempts, fn, want_obs, state.payload))
         self.state = state
         self.deadline = (
             time.monotonic() + policy.task_timeout
@@ -421,7 +478,9 @@ def _schedule_retry(
 def _poison(
     state: _TaskState, policy: SupervisorPolicy, log: SupervisionLog, label: str
 ) -> object:
-    """Handle an out-of-retries task: quarantine it or raise."""
+    """Settle an out-of-retries task: :data:`_QUARANTINED` when it is
+    quarantined, else the :class:`TaskTimeout`/:class:`PoisonTask` its
+    slot raises."""
     report = FailureReport(
         task_index=state.index,
         label=label,
@@ -435,13 +494,13 @@ def _poison(
         return _QUARANTINED
     kinds = {f.kind for f in report.errors}
     if kinds == {"timeout"}:
-        raise TaskTimeout(
+        return TaskTimeout(
             f"{label}: task {state.index} exceeded its "
             f"{policy.task_timeout}s deadline on all {report.attempts} attempt(s)",
             report,
         )
     last = report.errors[-1].message if report.errors else "unknown failure"
-    raise PoisonTask(
+    return PoisonTask(
         f"{label}: task {state.index} is poison after "
         f"{report.attempts} attempt(s); last failure: {last}",
         report,
@@ -460,11 +519,6 @@ def _merge_success(delta: Any, attempts: int) -> None:
     merge_obs(delta, extra_attrs=extra)
 
 
-# --------------------------------------------------------------------------
-# serial supervised execution (workers=1, unpicklable work, tripped breaker)
-# --------------------------------------------------------------------------
-
-
 def _run_serial(
     fn: Callable[[Any], Any],
     states: list[_TaskState],
@@ -477,15 +531,13 @@ def _run_serial(
 
     No deadlines (a hung in-process task cannot be killed from within)
     and no chaos injection (a ``crash`` fault here would take the parent
-    down with it) — this is both the ``workers=1`` path and the circuit
-    breaker's landing strip.
+    down with it) — this is both the ``workers=1`` path under a policy
+    and the circuit breaker's landing strip.
     """
     for state in states:
         while True:
             state.attempts += 1
-            status, value, tb, delta = _pool._call_task(
-                (fn, state.payload, want_obs)
-            )
+            status, value, tb, delta = _call_task(fn, state.payload, want_obs)
             if status == "ok":
                 _merge_success(delta, state.attempts)
                 yield state.index, value
@@ -494,13 +546,10 @@ def _run_serial(
             if _schedule_retry(state, policy, log):
                 time.sleep(max(state.not_before - time.monotonic(), 0.0))
                 continue
-            if _poison(state, policy, log, label) is _QUARANTINED:
-                break
-
-
-# --------------------------------------------------------------------------
-# pooled supervised execution
-# --------------------------------------------------------------------------
+            slot = _poison(state, policy, log, label)
+            if slot is not _QUARANTINED:
+                raise slot
+            break
 
 
 def _pop_ready(pending: list[_TaskState], now: float) -> _TaskState | None:
@@ -527,230 +576,361 @@ def _next_wait(
     return max(timeout, 0.0)
 
 
-def _supervise_pool(
-    fn: Callable[[Any], Any],
-    states: list[_TaskState],
-    n_workers: int,
-    policy: SupervisorPolicy,
-    label: str,
-    initializer: Callable[..., None] | None,
-    initargs: tuple,
-    log: SupervisionLog,
-    want_obs: bool,
-) -> Iterator[tuple[int, Any]]:
-    ctx = multiprocessing.get_context(_pool._START_METHOD)
-    pending: list[_TaskState] = list(states)
-    results: dict[int, tuple[Any, Any, int] | object] = {}
-    next_yield = 0
-    crashes = 0
-    draining = False
-    drain_deadline = float("inf")
-    shutdown_exc: BaseException | None = None
-    workers: list[_WorkerHandle] = []
-
-    def spawn() -> bool:
-        nonlocal crashes
-        try:
-            workers.append(
-                _WorkerHandle(ctx, fn, initializer, initargs, want_obs)
-            )
-            return True
-        except (OSError, ValueError):
-            crashes += 1
-            log.crashes += 1
-            _inc("repro_pool_crashes_total")
-            return False
-
-    def task_failed(state: _TaskState, kind: str, message: str, tb: str | None) -> None:
-        """Record a failed attempt; re-queue or poison the task."""
-        _record_failure(state, kind, message, tb)
-        if draining:
-            return  # no retries while shutting down; --resume redoes it
-        if _schedule_retry(state, policy, log):
-            pending.append(state)
-        elif _poison(state, policy, log, label) is _QUARANTINED:
-            results[state.index] = _QUARANTINED
-
-    def reap(handle: _WorkerHandle, kill: bool) -> None:
-        handle.stop(kill=kill)
-        workers.remove(handle)
-
-    try:
-        for _ in range(min(n_workers, len(pending))):
-            spawn()
-        if not workers:
-            # No pool at all (resource limits, sandbox): run serially.
-            if initializer is not None:
-                initializer(*initargs)
-            yield from _run_serial(fn, pending, policy, label, log, want_obs)
-            return
-
-        while next_yield < len(states):
-            # Circuit breaker: repeated pool-level deaths mean the machine
-            # (not a task) is the problem — fall back to one process.
-            if crashes >= policy.pool_crash_threshold and not log.breaker_tripped:
-                log.breaker_tripped = True
-                _inc("repro_breaker_trips_total")
-                for handle in list(workers):
-                    state = handle.release()
-                    if state is not None:
-                        pending.append(state)
-                    reap(handle, kill=True)
-                break  # serial completion happens below, outside the loop
-
-            try:
-                # Yield every result that extends the in-order prefix.
-                while next_yield in results:
-                    slot = results.pop(next_yield)
-                    if slot is not _QUARANTINED:
-                        value, delta, attempts = slot
-                        _merge_success(delta, attempts)
-                        yield next_yield, value
-                    next_yield += 1
-                if next_yield >= len(states):
-                    return
-                if draining and all(h.state is None for h in workers):
-                    raise shutdown_exc  # drained everything that was in flight
-
-                now = time.monotonic()
-                # Keep the pool at strength and the idle workers busy.
-                if not draining:
-                    in_flight = sum(1 for h in workers if h.state is not None)
-                    while len(workers) < min(n_workers, in_flight + len(pending)):
-                        if not spawn():
-                            break
-                    for handle in workers:
-                        if handle.state is not None or not handle.process.is_alive():
-                            continue
-                        state = _pop_ready(pending, now)
-                        if state is None:
-                            break
-                        state.attempts += 1
-                        try:
-                            handle.assign(state, policy)
-                        except (OSError, ValueError, BrokenPipeError):
-                            # Died between poll and send: crash-account it.
-                            pending.append(state)
-                            state.attempts -= 1
-                            crashes += 1
-                            log.crashes += 1
-                            _inc("repro_pool_crashes_total")
-                            reap(handle, kill=True)
-                            break
-
-                waitables: list[Any] = []
-                for handle in workers:
-                    waitables.append(handle.conn)
-                    waitables.append(handle.process.sentinel)
-                if waitables:
-                    mp_connection.wait(
-                        waitables, timeout=_next_wait(workers, pending, policy, now)
-                    )
-                elif pending:
-                    time.sleep(_next_wait(workers, pending, policy, now))
-
-                now = time.monotonic()
-                if draining and now >= drain_deadline:
-                    raise shutdown_exc  # in-flight work refused to finish
-
-                for handle in list(workers):
-                    # 1. completed result (consume before declaring death:
-                    #    a worker may finish the task and then die).
-                    try:
-                        has_data = handle.conn.poll()
-                    except (OSError, EOFError):
-                        has_data = False
-                    if has_data:
-                        try:
-                            msg = handle.conn.recv()
-                        except (EOFError, OSError):
-                            msg = None
-                        if msg is not None:
-                            index, status, value, tb, delta = msg
-                            state = handle.release()
-                            if state is None or state.index != index:
-                                continue  # stale message from a reassigned pipe
-                            if status == "ok":
-                                results[index] = (value, delta, state.attempts)
-                            else:
-                                task_failed(state, "error", value, tb)
-                            continue
-                    # 2. worker death (crash, OOM kill, chaos kill/crash).
-                    if not handle.process.is_alive():
-                        state = handle.release()
-                        crashes += 1
-                        log.crashes += 1
-                        _inc("repro_pool_crashes_total")
-                        reap(handle, kill=True)
-                        if state is not None:
-                            task_failed(
-                                state,
-                                "crash",
-                                "worker process died while running task "
-                                f"{state.index} (exit code "
-                                f"{handle.process.exitcode})",
-                                None,
-                            )
-                        continue
-                    # 3. deadline exceeded: the watchdog turns a wedged
-                    #    worker into a recorded timeout.
-                    if (
-                        handle.state is not None
-                        and handle.deadline is not None
-                        and now >= handle.deadline
-                    ):
-                        state = handle.release()
-                        log.timeouts += 1
-                        _inc("repro_task_timeouts_total")
-                        reap(handle, kill=True)
-                        task_failed(
-                            state,
-                            "timeout",
-                            f"task {state.index} exceeded the "
-                            f"{policy.task_timeout}s deadline",
-                            None,
-                        )
-            except (ShutdownRequested, KeyboardInterrupt) as exc:
-                if draining:
-                    raise  # second signal: stop waiting, abandon the drain
-                draining = True
-                shutdown_exc = exc
-                drain_deadline = time.monotonic() + (
-                    policy.task_timeout
-                    if policy.task_timeout is not None
-                    else policy.drain_grace
-                )
-    finally:
-        for handle in list(workers):
-            handle.stop(kill=handle.state is not None)
-        workers.clear()
-
-    # Circuit breaker landed here: finish the remaining work in-process,
-    # preserving each task's consumed attempt budget.  The workers owned
-    # the initializer state until now; install it in-process first.
-    remaining = sorted(pending, key=lambda s: s.index)
-    if remaining and initializer is not None:
-        initializer(*initargs)
-    serial_results: dict[int, Any] = {}
-    for index, value in _run_serial(
-        fn, remaining, policy, label, log, want_obs
-    ):
-        serial_results[index] = value
-    while next_yield < len(states):
-        if next_yield in serial_results:
-            yield next_yield, serial_results[next_yield]
-        elif next_yield in results:
-            slot = results[next_yield]
-            if slot is not _QUARANTINED:
-                value, delta, attempts = slot
-                _merge_success(delta, attempts)
-                yield next_yield, value
-        # slots in neither dict were quarantined (serial path logs them)
-        next_yield += 1
+def _stop_workers(handles: list[_WorkerHandle]) -> None:
+    while handles:
+        handles.pop().stop()
 
 
 # --------------------------------------------------------------------------
-# entry point
+# the pool
+# --------------------------------------------------------------------------
+
+
+class SupervisedPool:
+    """Worker processes that outlive one call, supervised call by call.
+
+    Parameters
+    ----------
+    workers:
+        Worker processes; ``None`` resolves via
+        :func:`repro.parallel.resolve_workers`.  Results are identical
+        for every value.
+    initializer, initargs:
+        Per-worker setup, run once in each worker process (and again by a
+        respawned one), so large shared state is shipped once instead of
+        with every task.  Also run in-process before any in-process call.
+    label:
+        Stage prefix of error messages and failure reports.
+    policy:
+        The :class:`SupervisorPolicy` of every :meth:`imap` call; ``None``
+        is fail-fast (no retry, no deadline).
+    supervision:
+        The :class:`SupervisionLog` every call tallies into.
+
+    Workers spawn on the first pooled call and stay warm between calls;
+    the owner reaps them with :meth:`close` (or ``with``), and a pool
+    collected unclosed reaps its idle workers then.  A call runs
+    in-process instead — ``fn`` called directly — when it would use one
+    worker, when ``fn``, its first task or the initializer state cannot
+    be pickled, or when no worker can be started.
+    """
+
+    def __init__(
+        self,
+        workers: int | None = None,
+        initializer: Callable[..., None] | None = None,
+        initargs: tuple = (),
+        label: str = "repro.parallel",
+        policy: SupervisorPolicy | None = None,
+        supervision: SupervisionLog | None = None,
+    ):
+        self.workers = _pool.resolve_workers(workers)
+        self.label = label
+        self.policy = policy
+        self.supervision = supervision if supervision is not None else SupervisionLog()
+        self._initializer = initializer
+        self._initargs = initargs
+        #: Whether the initializer state pickles; probed on first pooled use.
+        self._shippable: bool | None = None
+        #: Live workers waiting for the next call.
+        self._idle: list[_WorkerHandle] = []
+        #: Stops the idle workers, once: on close(), or when the pool is
+        #: collected without one.
+        self._reap = weakref.finalize(self, _stop_workers, self._idle)
+        self._closed = False
+
+    @property
+    def pids(self) -> tuple[int, ...]:
+        """Process ids of the warm workers waiting for the next call."""
+        return tuple(handle.process.pid for handle in self._idle)
+
+    def imap(
+        self, fn: Callable[[Any], Any], tasks: Iterable[Any]
+    ) -> Iterator[tuple[int, Any]]:
+        """Map ``fn`` over ``tasks``, yielding ``(index, result)`` in order.
+
+        Retries, deadlines, quarantine and the circuit breaker are those
+        of one :func:`supervised_iter_tasks` call: their counts start
+        afresh with each call, and only the workers and the state their
+        initializer installed carry over.  Quarantined tasks' indices are
+        skipped.  A failed pooled call raises for its lowest failing task
+        index; an in-process call without a policy raises ``fn``'s own
+        exception.
+        """
+        if self._closed:
+            raise _pool.WorkerCrash(f"{self.label}: pool used after close()")
+        states = [_TaskState(i, task) for i, task in enumerate(tasks)]
+        if not states:
+            return
+        want_obs = tracing.current() is not None or metrics.current() is not None
+        if min(self.workers, len(states)) > 1 and self._can_ship(
+            fn, states[0].payload
+        ):
+            yield from self._supervise(fn, states, want_obs)
+        else:
+            yield from self._serial(fn, states, want_obs)
+
+    def close(self) -> None:
+        """Stop the warm workers; the pool cannot be used again."""
+        self._closed = True
+        self._reap()
+
+    def __enter__(self) -> "SupervisedPool":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+    # ------------------------------------------------------------ internals
+    def _can_ship(self, fn: Callable[[Any], Any], task: Any) -> bool:
+        if self._shippable is None:
+            self._shippable = _pickles((self._initializer, self._initargs))
+        return self._shippable and _pickles((fn, task))
+
+    def _install(self) -> None:
+        if self._initializer is not None:
+            self._initializer(*self._initargs)
+
+    def _serial(
+        self, fn: Callable[[Any], Any], states: list[_TaskState], want_obs: bool
+    ) -> Iterator[tuple[int, Any]]:
+        self._install()
+        if self.policy is None:
+            for state in states:
+                yield state.index, fn(state.payload)
+        else:
+            yield from _run_serial(
+                fn, states, self.policy, self.label, self.supervision, want_obs
+            )
+
+    def _supervise(
+        self, fn: Callable[[Any], Any], states: list[_TaskState], want_obs: bool
+    ) -> Iterator[tuple[int, Any]]:
+        ctx = multiprocessing.get_context(_START_METHOD)
+        policy = self.policy if self.policy is not None else _FAIL_FAST
+        label, log = self.label, self.supervision
+        n_workers = min(self.workers, len(states))
+        workers = list(self._idle)
+        self._idle.clear()
+        pending: list[_TaskState] = list(states)
+        #: Finished slots by task index: ``(value, delta, attempts)``,
+        #: :data:`_QUARANTINED`, or the exception the slot raises.
+        results: dict[int, Any] = {}
+        next_yield = 0
+        #: The lowest task index whose failure ends the call.
+        failed_at = len(states)
+        crashes = 0
+        draining = False
+        drain_deadline = float("inf")
+        shutdown_exc: BaseException | None = None
+
+        def crashed() -> None:
+            nonlocal crashes
+            crashes += 1
+            log.crashes += 1
+            _inc("repro_pool_crashes_total")
+
+        def spawn() -> bool:
+            try:
+                workers.append(_WorkerHandle(ctx, self._initializer, self._initargs))
+                return True
+            except (OSError, ValueError):
+                crashed()
+                return False
+
+        def task_failed(
+            state: _TaskState, kind: str, message: str, tb: str | None
+        ) -> None:
+            """Record a failed attempt; re-queue or settle the task."""
+            nonlocal failed_at
+            _record_failure(state, kind, message, tb)
+            if draining or state.index > failed_at:
+                return  # no retries while shutting down; --resume redoes it
+            if _schedule_retry(state, policy, log):
+                pending.append(state)
+                return
+            slot = _poison(state, policy, log, label)
+            results[state.index] = slot
+            if slot is not _QUARANTINED:
+                # Nothing past this index will be yielded: stop feeding it.
+                failed_at = state.index
+                pending[:] = [s for s in pending if s.index < failed_at]
+
+        def reap(handle: _WorkerHandle, kill: bool) -> None:
+            handle.stop(kill=kill)
+            workers.remove(handle)
+
+        def ready() -> Iterator[tuple[int, Any]]:
+            """Yield every result that extends the in-order prefix."""
+            nonlocal next_yield
+            while next_yield in results:
+                slot = results.pop(next_yield)
+                index, next_yield = next_yield, next_yield + 1
+                if isinstance(slot, BaseException):
+                    raise slot
+                if slot is not _QUARANTINED:
+                    value, delta, attempts = slot
+                    _merge_success(delta, attempts)
+                    yield index, value
+
+        try:
+            for _ in range(n_workers - len(workers)):
+                spawn()
+            if not workers:
+                # No pool at all (resource limits, sandbox): run in-process.
+                yield from self._serial(fn, pending, want_obs)
+                return
+
+            # Circuit breaker: repeated pool-level deaths mean the machine
+            # (not a task) is the problem — below, fall back to one process.
+            while crashes < policy.pool_crash_threshold:
+                try:
+                    yield from ready()
+                    if next_yield >= len(states):
+                        return
+                    if draining and all(h.state is None for h in workers):
+                        raise shutdown_exc  # drained everything in flight
+
+                    now = time.monotonic()
+                    # Keep the pool at strength and the idle workers busy.
+                    if not draining:
+                        in_flight = sum(1 for h in workers if h.state is not None)
+                        while len(workers) < min(n_workers, in_flight + len(pending)):
+                            if not spawn():
+                                break
+                        for handle in workers:
+                            if handle.state is not None or not handle.process.is_alive():
+                                continue
+                            state = _pop_ready(pending, now)
+                            if state is None:
+                                break
+                            state.attempts += 1
+                            try:
+                                handle.assign(state, fn, want_obs, policy)
+                            except (OSError, ValueError, BrokenPipeError):
+                                # Died between poll and send: crash-account it.
+                                pending.append(state)
+                                state.attempts -= 1
+                                crashed()
+                                reap(handle, kill=True)
+                                break
+
+                    waitables: list[Any] = []
+                    for handle in workers:
+                        waitables.append(handle.conn)
+                        waitables.append(handle.process.sentinel)
+                    if waitables:
+                        mp_connection.wait(
+                            waitables, timeout=_next_wait(workers, pending, policy, now)
+                        )
+                    elif pending:
+                        time.sleep(_next_wait(workers, pending, policy, now))
+
+                    now = time.monotonic()
+                    if draining and now >= drain_deadline:
+                        raise shutdown_exc  # in-flight work refused to finish
+
+                    for handle in list(workers):
+                        # 1. completed result (consume before declaring death:
+                        #    a worker may finish the task and then die).
+                        try:
+                            has_data = handle.conn.poll()
+                        except (OSError, EOFError):
+                            has_data = False
+                        if has_data:
+                            try:
+                                msg = handle.conn.recv()
+                            except (EOFError, OSError):
+                                msg = None
+                            if msg is not None:
+                                index, status, value, tb, delta = msg
+                                state = handle.release()
+                                if state is None or state.index != index:
+                                    continue  # stale message from a reassigned pipe
+                                if status == "ok":
+                                    results[index] = (value, delta, state.attempts)
+                                else:
+                                    task_failed(state, "error", value, tb)
+                                continue
+                        # 2. worker death (crash, OOM kill, chaos kill/crash).
+                        if not handle.process.is_alive():
+                            state = handle.release()
+                            crashed()
+                            reap(handle, kill=True)
+                            if state is not None:
+                                task_failed(
+                                    state,
+                                    "crash",
+                                    "worker process died while running task "
+                                    f"{state.index} (exit code "
+                                    f"{handle.process.exitcode})",
+                                    None,
+                                )
+                            continue
+                        # 3. deadline exceeded: the watchdog turns a wedged
+                        #    worker into a recorded timeout.
+                        if (
+                            handle.state is not None
+                            and handle.deadline is not None
+                            and now >= handle.deadline
+                        ):
+                            state = handle.release()
+                            log.timeouts += 1
+                            _inc("repro_task_timeouts_total")
+                            reap(handle, kill=True)
+                            task_failed(
+                                state,
+                                "timeout",
+                                f"task {state.index} exceeded the "
+                                f"{policy.task_timeout}s deadline",
+                                None,
+                            )
+                except (ShutdownRequested, KeyboardInterrupt) as exc:
+                    if draining:
+                        raise  # second signal: stop waiting, abandon the drain
+                    draining = True
+                    shutdown_exc = exc
+                    drain_deadline = time.monotonic() + (
+                        policy.task_timeout
+                        if policy.task_timeout is not None
+                        else policy.drain_grace
+                    )
+
+            log.breaker_tripped = True
+            _inc("repro_breaker_trips_total")
+            for handle in list(workers):
+                state = handle.release()
+                if state is not None and state.index < failed_at:
+                    pending.append(state)
+                reap(handle, kill=True)
+        finally:
+            # Idle workers stay warm for the next call; a busy one is
+            # running work nobody will collect, so it is killed.
+            for handle in workers:
+                if handle.state is None and handle.process.is_alive() and not self._closed:
+                    self._idle.append(handle)
+                else:
+                    handle.stop(kill=handle.state is not None)
+
+        # The breaker tripped: finish the remaining work in-process,
+        # preserving each task's consumed attempt budget.
+        remaining = sorted(pending, key=lambda s: s.index)
+        if remaining:
+            self._install()
+            try:
+                for index, value in _run_serial(
+                    fn, remaining, policy, label, log, want_obs
+                ):
+                    results[index] = (value, None, 1)  # obs merged already
+            except _pool.WorkerCrash as exc:
+                results[exc.task_index] = exc
+            for state in remaining:
+                results.setdefault(state.index, _QUARANTINED)
+        yield from ready()
+
+
+# --------------------------------------------------------------------------
+# entry points
 # --------------------------------------------------------------------------
 
 
@@ -764,44 +944,26 @@ def supervised_iter_tasks(
     initargs: tuple = (),
     supervision: SupervisionLog | None = None,
 ) -> Iterator[tuple[int, Any]]:
-    """Supervised :func:`repro.parallel.pool.iter_tasks`.
+    """Supervised :func:`repro.parallel.pool.iter_tasks`: one call on a
+    one-shot :class:`SupervisedPool` under ``policy`` (by default
+    :class:`SupervisorPolicy`'s defaults).
 
     Yields ``(index, result)`` strictly in task order; quarantined tasks'
     indices are skipped (the :class:`SupervisionLog` names them).  The
-    serial path (``workers=1``, unpicklable payloads, pool unavailable,
-    tripped breaker) applies the same retry/quarantine policy minus
-    deadlines, so supervision semantics never depend on the machine.
+    in-process path (``workers=1``, unpicklable payloads, pool
+    unavailable, tripped breaker) applies the same retry/quarantine
+    policy minus deadlines, so supervision semantics never depend on the
+    machine.
     """
-    policy = policy if policy is not None else SupervisorPolicy()
-    log = supervision if supervision is not None else SupervisionLog()
-    states = [_TaskState(i, task) for i, task in enumerate(tasks)]
-    if not states:
-        return
-    n_workers = min(_pool.resolve_workers(workers), len(states))
-    want_obs = tracing.current() is not None or metrics.current() is not None
-
-    parallel_ok = n_workers > 1
-    if parallel_ok:
-        try:
-            pickle.dumps((states[0].payload, fn, initializer, initargs))
-        except Exception:
-            parallel_ok = False
-    if not parallel_ok:
-        if initializer is not None:
-            initializer(*initargs)
-        yield from _run_serial(fn, states, policy, label, log, want_obs)
-        return
-    yield from _supervise_pool(
-        fn,
-        states,
-        n_workers,
-        policy,
-        label,
+    with SupervisedPool(
+        workers,
         initializer,
         initargs,
-        log,
-        want_obs,
-    )
+        label,
+        policy if policy is not None else SupervisorPolicy(),
+        supervision,
+    ) as pool:
+        yield from pool.imap(fn, tasks)
 
 
 def force_fail(policy: SupervisorPolicy | None) -> SupervisorPolicy | None:

@@ -7,9 +7,10 @@ scoring request; the :class:`~repro.serve.batching.MicroBatcher` flushes
 pending requests by size/wait bounds into one vectorized
 :meth:`~repro.core.predictor.FailurePredictor.predict_proba_matrix`
 call.  Large flushed batches (backfills) optionally fan out across
-:mod:`repro.parallel` workers under a :mod:`repro.resilience`
-supervision policy — scores are bit-identical for any batch split and
-worker count, so batching and parallelism are pure throughput knobs.
+the warm workers of a :class:`repro.resilience.SupervisedPool`, under
+the engine's supervision policy — scores are bit-identical for any
+batch split and worker count, so batching and parallelism are pure
+throughput knobs.
 
 Instrumentation (``repro.serve.*`` spans, ``repro_serve_*`` metrics)
 rides the ambient :mod:`repro.obs` collectors, Prometheus-exportable
@@ -135,7 +136,9 @@ class ScoringEngine:
     workers, policy, supervision:
         Execution controls applied to large flushed batches (see
         :data:`BACKFILL_MIN_ROWS`): worker processes for sharded predict
-        plus an optional resilience supervision policy.
+        plus an optional resilience supervision policy.  The workers are
+        a warm :meth:`FailurePredictor.scoring_pool`, spawned on the
+        first such batch and reaped by :meth:`close`.
     guard:
         Optional :class:`AdmissionGuard` bound to ``store``.  With a
         guard, bad events divert to the dead-letter queue instead of
@@ -215,10 +218,10 @@ class ScoringEngine:
         self.requests_total = 0
         self.batches_total = 0
         self.stale_scores = 0
-        #: Warm scoring pool (satellite of the sharded-serving PR): the
-        #: model bundle pickles into each worker once, then every
-        #: backfill-sized batch ships only row slices.  ``None`` until
-        #: first use, ``False`` when fan-out is configured off.
+        #: Warm scoring pool: the model bundle is installed in each
+        #: worker once, then every backfill-sized batch ships only row
+        #: slices.  ``None`` until first use, ``False`` when fan-out is
+        #: configured off.
         self._scoring_pool: Any = None
         #: Every arrival observed, including diverted/shed/duplicate
         #: events that never became scoring requests.
@@ -400,21 +403,18 @@ class ScoringEngine:
         return scored
 
     def _ensure_scoring_pool(self) -> Any:
-        """The warm pool, spawned on first backfill-sized batch.
-
-        ``None`` when fan-out is off (resolved worker count of 1) or a
-        supervision policy is configured — supervised scoring needs the
-        retrying pool, so it keeps the per-call path.
-        """
-        if self.policy is not None:
-            return None
+        """The warm pool, spawned on the first backfill-sized batch;
+        ``None`` when fan-out is off (a resolved worker count of 1)."""
         if self._scoring_pool is None:
             from ..parallel import resolve_workers
 
-            if resolve_workers(self.workers) <= 1:
-                self._scoring_pool = False
-            else:
-                self._scoring_pool = self.predictor.scoring_pool(self.workers)
+            self._scoring_pool = (
+                self.predictor.scoring_pool(
+                    self.workers, self.policy, self.supervision
+                )
+                if resolve_workers(self.workers) > 1
+                else False
+            )
         return self._scoring_pool or None
 
     def close(self) -> None:
@@ -430,26 +430,15 @@ class ScoringEngine:
         self.close()
 
     def _score_rows(self, X: np.ndarray, ages: np.ndarray) -> np.ndarray:
-        """Vectorized predict; fans out only for backfill-sized batches.
-
-        Fan-out goes through the warm :meth:`_ensure_scoring_pool` when
-        no supervision policy is set — row sharding matches the per-call
-        pool exactly, so the bytes are identical either way.
-        """
-        if X.shape[0] >= BACKFILL_MIN_ROWS:
-            pool = self._ensure_scoring_pool()
-            if pool is not None:
-                return self.predictor.predict_proba_matrix(X, ages, pool=pool)
-            workers = self.workers
-        else:
-            workers = 1
-        return self.predictor.predict_proba_matrix(
-            X,
-            ages,
-            workers=workers,
-            policy=self.policy if workers and workers > 1 else None,
-            supervision=self.supervision,
+        """Vectorized predict; fans out only for backfill-sized batches,
+        on the warm :meth:`_ensure_scoring_pool` under the engine's
+        supervision policy.  Row sharding never changes the bytes."""
+        pool = (
+            self._ensure_scoring_pool() if X.shape[0] >= BACKFILL_MIN_ROWS else None
         )
+        if pool is not None:
+            return self.predictor.predict_proba_matrix(X, ages, pool=pool)
+        return self.predictor.predict_proba_matrix(X, ages, workers=1)
 
     def _staleness(self, cal: int) -> tuple[int, bool]:
         """Lag of one scored event behind the fleet watermark."""

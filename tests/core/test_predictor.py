@@ -11,6 +11,7 @@ import pytest
 from repro.core import FailurePredictor, build_prediction_dataset
 from repro.core.pipeline import ModelSpec
 from repro.ml import LogisticRegression
+from repro.resilience import SupervisorPolicy
 from repro.simulator import FleetConfig, simulate_fleet
 
 
@@ -135,3 +136,20 @@ class TestPredictMatrix:
         assert np.array_equal(serial, per_row)
         empty = pred.predict_proba_matrix(X[:0], ages[:0], workers=1)
         assert empty.shape == (0,)
+
+
+class TestScoringPool:
+    @pytest.mark.parametrize(
+        "policy",
+        [None, SupervisorPolicy(max_retries=1)],
+        ids=["no-policy", "policy"],
+    )
+    def test_pooled_scoring_is_byte_identical(self, tiny_trace, policy):
+        pred = FailurePredictor(lookahead=7, seed=3).fit(tiny_trace)
+        ds = build_prediction_dataset(tiny_trace, lookahead=7)
+        baseline = pred.predict_proba_matrix(ds.X, ds.age_days, workers=1)
+        with pred.scoring_pool(workers=2, policy=policy) as pool:
+            pooled_a = pred.predict_proba_matrix(ds.X, ds.age_days, pool=pool)
+            pooled_b = pred.predict_proba_matrix(ds.X, ds.age_days, pool=pool)
+        assert np.array_equal(pooled_a, baseline)
+        assert np.array_equal(pooled_b, baseline)

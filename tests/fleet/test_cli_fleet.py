@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -139,6 +140,35 @@ class TestWhatif:
             == 2
         )
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="chaos injection rides the fork start method",
+    )
+    def test_execution_flags_supervise_scoring(self, staged, tmp_path, monkeypatch):
+        # Every pooled scoring task errors once; --max-retries heals it
+        # and the reports match a fault-free serial run byte for byte.
+        argv = [
+            "fleet", "whatif", "--trace", str(staged["fleet"]),
+            "--model", str(staged["model"]), "--policy", "threshold",
+        ]
+        clean = tmp_path / "clean.json"
+        assert main(argv + ["--workers", "1", "--json-out", str(clean), "--no-manifest"]) == 0
+        monkeypatch.setenv("REPRO_CHAOS", "error=1.0")
+        chaotic = tmp_path / "chaotic.json"
+        manifest = tmp_path / "manifest.json"
+        assert (
+            main(
+                argv
+                + [
+                    "--workers", "2", "--max-retries", "2",
+                    "--json-out", str(chaotic), "--manifest-out", str(manifest),
+                ]
+            )
+            == 0
+        )
+        assert chaotic.read_bytes() == clean.read_bytes()
+        assert load_manifest(manifest)["resilience"]["retries"] > 0
+
 
 class TestRun:
     def test_writes_artifacts_and_manifest(self, staged, ran):
@@ -179,6 +209,27 @@ class TestRun:
             == 0
         )
         assert whatif_journal.read_bytes() == (ran / "audit.jsonl").read_bytes()
+
+    def test_parallel_run_is_byte_identical_and_reaps_its_workers(
+        self, staged, ran, tmp_path
+    ):
+        # The trace's 2,223 rows make one 4,096-row chunk, past the
+        # engine's backfill threshold, so the run scores on a warm pool.
+        before = set(multiprocessing.active_children())
+        out = tmp_path / "run"
+        assert (
+            main(
+                [
+                    "fleet", "run", "--trace", str(staged["fleet"]),
+                    "--model", str(staged["model"]), "--policy", "threshold",
+                    "--out", str(out), "--workers", "2",
+                ]
+            )
+            == 0
+        )
+        assert set(multiprocessing.active_children()) <= before
+        for name in ("audit.jsonl", "state.json", "health.npz"):
+            assert (out / name).read_bytes() == (ran / name).read_bytes()
 
 
 class TestDecide:

@@ -28,6 +28,7 @@ from repro.resilience import (
     ENV_CHAOS_SEED,
     FailureReport,
     PoisonTask,
+    SupervisedPool,
     SupervisionLog,
     SupervisorPolicy,
     TaskFailure,
@@ -76,6 +77,17 @@ def _install_box(value):
 
 def _needs_init(x):
     return x + _INIT_BOX[0]
+
+
+_INSTALLS: list = []
+
+
+def _install_counted(token):
+    _INSTALLS.append(token)
+
+
+def _installs_and_pid(x):
+    return list(_INSTALLS), x, os.getpid()
 
 
 # ---------------------------------------------------------------- policy
@@ -483,12 +495,111 @@ class TestIterTasksDelegation:
         assert out == [(i, i * i) for i in range(4)]
         assert log.retries == 4
 
-    def test_no_policy_ignores_chaos_env(self, monkeypatch):
-        # Injection lives in the supervised worker loop only: the legacy
-        # fail-fast pool (policy=None) is untouched by $REPRO_CHAOS.
+    def test_no_policy_is_fail_fast_under_chaos(self, monkeypatch):
+        # There is one worker loop, so one chaos drill: without a policy
+        # the first injected fault fails the run, reported for the lowest
+        # failing task; the in-process path never injects.
         monkeypatch.setenv(ENV_CHAOS, "error=1.0")
-        out = list(iter_tasks(_square, list(range(4)), workers=2))
+        with pytest.raises(WorkerCrash) as exc_info:
+            list(iter_tasks(_square, list(range(4)), workers=2))
+        assert exc_info.value.task_index == 0
+        out = list(iter_tasks(_square, list(range(4)), workers=1))
         assert out == [(i, i * i) for i in range(4)]
+
+
+# ---------------------------------------------------------------- warm pool
+
+
+class TestSupervisedPool:
+    @fork_only
+    def test_results_in_task_order(self):
+        with SupervisedPool(workers=2) as pool:
+            assert list(pool.imap(_square, range(10))) == [
+                (i, i * i) for i in range(10)
+            ]
+
+    @fork_only
+    def test_initializer_state_reused_across_runs(self):
+        _INSTALLS.clear()
+        with SupervisedPool(
+            workers=2, initializer=_install_counted, initargs=("warm",)
+        ) as pool:
+            first = list(pool.imap(_installs_and_pid, [1, 2, 3, 4]))
+            warm = set(pool.pids)
+            second = list(pool.imap(_installs_and_pid, [5, 6]))
+        # Each worker installed the state exactly once, and the same two
+        # workers served both calls without re-shipping it.
+        assert [(x, installs) for _, (installs, x, _) in first + second] == [
+            (x, ["warm"]) for x in (1, 2, 3, 4, 5, 6)
+        ]
+        assert len(warm) == 2 and os.getpid() not in warm
+        assert {pid for _, (_, _, pid) in first} == warm
+        assert {pid for _, (_, _, pid) in second} == warm
+        assert _INSTALLS == []  # the parent never installed it
+
+    def test_serial_fallback_matches(self):
+        _INSTALLS.clear()
+        with SupervisedPool(
+            workers=1, initializer=_install_counted, initargs=("solo",)
+        ) as pool:
+            out = list(pool.imap(_installs_and_pid, [7, 8]))
+            assert pool.pids == ()
+        assert out == [(0, (["solo"], 7, os.getpid())), (1, (["solo"], 8, os.getpid()))]
+
+    def test_unpicklable_initializer_falls_back_serial(self):
+        _INSTALLS.clear()
+        token = lambda: None  # noqa: E731 - unpicklable initargs force the serial path
+        with SupervisedPool(
+            workers=2, initializer=_install_counted, initargs=(token,)
+        ) as pool:
+            out = list(pool.imap(_installs_and_pid, [1, 2]))
+            assert pool.pids == ()
+        assert out == [(0, ([token], 1, os.getpid())), (1, ([token], 2, os.getpid()))]
+
+    @fork_only
+    def test_task_error_surfaces_as_worker_crash(self):
+        with SupervisedPool(workers=2) as pool:
+            with pytest.raises(WorkerCrash, match="bad task 0") as exc_info:
+                list(pool.imap(_always_raises, [0, 1]))
+            assert exc_info.value.task_index == 0
+            # The failed call leaves a usable pool behind.
+            assert list(pool.imap(_square, [2, 3])) == [(0, 4), (1, 9)]
+
+    @fork_only
+    def test_supervision_counted_per_call(self, monkeypatch):
+        monkeypatch.setenv(ENV_CHAOS, "error=1.0")
+        log = SupervisionLog()
+        pol = SupervisorPolicy(max_retries=1, backoff_base=0.001)
+        with SupervisedPool(workers=2, policy=pol, supervision=log) as pool:
+            first = list(pool.imap(_square, [1, 2, 3]))
+            second = list(pool.imap(_square, [4, 5, 6]))
+        # Task indices and attempts restart with each call, so the fault
+        # plan fires (and is retried) again; the log tallies both calls.
+        assert first == [(0, 1), (1, 4), (2, 9)]
+        assert second == [(0, 16), (1, 25), (2, 36)]
+        assert log.retries == 6
+
+    def test_use_after_close_raises(self):
+        pool = SupervisedPool(workers=2)
+        pool.close()
+        with pytest.raises(WorkerCrash, match="close"):
+            list(pool.imap(_square, [1, 2]))
+
+    @fork_only
+    def test_close_is_idempotent(self):
+        pool = SupervisedPool(workers=2)
+        assert list(pool.imap(_square, [1, 2])) == [(0, 1), (1, 4)]
+        pids = set(pool.pids)
+        assert len(pids) == 2
+        pool.close()
+        pool.close()
+        assert pool.pids == ()
+        assert pids.isdisjoint(p.pid for p in multiprocessing.active_children())
+
+    def test_empty_task_list(self):
+        with SupervisedPool(workers=2) as pool:
+            assert list(pool.imap(_square, [])) == []
+            assert pool.pids == ()  # nothing to run, nothing spawned
 
 
 #: Keeps a 2-worker supervised pool open with both workers idle, prints
@@ -503,6 +614,34 @@ print(json.dumps([p.pid for p in multiprocessing.active_children()]), flush=True
 time.sleep(600)
 """
 
+
+#: Holds an open fail-fast ``iter_tasks`` run (no policy) with two workers.
+_IDLE_ITER_TASKS_PARENT = """
+import json, multiprocessing, time
+from repro.parallel import iter_tasks
+
+results = iter_tasks(abs, range(4), workers=2)
+next(results)
+print(json.dumps([p.pid for p in multiprocessing.active_children()]), flush=True)
+time.sleep(600)
+"""
+
+#: Warms a 2-worker scoring pool with one pooled predict call.
+_WARM_SCORING_POOL_PARENT = """
+import json, time
+from repro.core import FailurePredictor, build_prediction_dataset
+from repro.simulator import FleetConfig, simulate_fleet
+
+trace = simulate_fleet(
+    FleetConfig(n_drives_per_model=8, horizon_days=200, deploy_spread_days=100, seed=21)
+)
+predictor = FailurePredictor(lookahead=7, seed=3).fit(trace)
+dataset = build_prediction_dataset(trace, lookahead=7)
+pool = predictor.scoring_pool(2)
+predictor.predict_proba_matrix(dataset.X, dataset.age_days, pool=pool)
+print(json.dumps(list(pool.pids)), flush=True)
+time.sleep(600)
+"""
 
 def _running(pids: list[int]) -> list[int]:
     """The pids that still run (a zombie has exited and counts as gone)."""
@@ -545,3 +684,35 @@ class TestOrphanedWorkers:
         finally:
             for pid in _running(pids):
                 os.kill(pid, signal.SIGKILL)
+
+    def test_iter_tasks_workers_exit_when_parent_is_killed(self):
+        _assert_workers_exit_with_parent(_IDLE_ITER_TASKS_PARENT)
+
+    def test_scoring_pool_workers_exit_when_parent_is_killed(self):
+        _assert_workers_exit_with_parent(_WARM_SCORING_POOL_PARENT)
+
+
+def _assert_workers_exit_with_parent(script: str) -> None:
+    """SIGKILL a parent running ``script`` once it prints its two worker
+    pids; both workers must be gone within 5 s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    parent = subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
+    )
+    with parent:
+        try:
+            pids = json.loads(parent.stdout.readline())
+        finally:
+            parent.kill()
+    assert len(pids) == 2
+    try:
+        deadline = time.monotonic() + 5.0
+        while _running(pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _running(pids) == []
+    finally:
+        for pid in _running(pids):
+            os.kill(pid, signal.SIGKILL)

@@ -288,6 +288,34 @@ class TestReplay:
         assert [l["drive_id"] for l in lines] == cols["drive_id"][good].tolist()
         assert [l["age_days"] for l in lines] == cols["age_days"][good].tolist()
 
+    def test_chaos_replay_skips_the_unread_records_load(
+        self, served, tmp_path, monkeypatch, capsys
+    ):
+        # Telemetry chaos skips the parity gate and writes --out from the
+        # scored events, so nothing reads the whole records file.
+        monkeypatch.setenv("REPRO_CHAOS", "duplicate=0.05,late=0.02")
+        monkeypatch.setenv("REPRO_CHAOS_SEED", "3")
+        manifest = tmp_path / "manifest.json"
+        code = main(
+            [
+                "serve",
+                "replay",
+                "--trace",
+                str(served["fleet"]),
+                "--model",
+                str(served["model"]),
+                "--out",
+                str(tmp_path / "scores.jsonl"),
+                "--manifest-out",
+                str(manifest),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        stages = {s["name"] for s in load_manifest(manifest)["stages"]}
+        assert "repro.serve.score_batch" in stages
+        assert "repro.data.load_records" not in stages
+
     def test_missing_trace_dir_exits_two(self, served, tmp_path, capsys):
         code = main(
             [

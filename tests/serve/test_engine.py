@@ -61,6 +61,9 @@ class TestReplayParity:
     ):
         engine = ScoringEngine(predictor, workers=2)
         result = engine.replay(serve_trace.records, chunk_rows=4096)
+        # 4,096-row chunks reach BACKFILL_MIN_ROWS: the warm pool scored them.
+        assert len(engine._scoring_pool.pids) == 2
+        engine.close()
         assert np.array_equal(result.probability, offline_probs)
 
     @pytest.mark.parametrize("chunk_rows", [333, 1024, 100_000])

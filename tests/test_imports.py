@@ -189,6 +189,16 @@ class TestImportSurface:
         assert "repro.serve.engine" in modules and "repro.fleet.audit" in modules
         assert _loaded(SERVING_FREE, modules) == []
 
+    def test_serving_imports_load_no_process_pool(self):
+        modules = _run(
+            """
+            import json, sys
+            import repro.core.predictor, repro.serve.engine
+            print(json.dumps(sorted(sys.modules)))
+            """
+        )
+        assert _loaded(("multiprocessing", "concurrent.futures"), modules) == []
+
     def test_snapshot_writes_load_no_simulator(self, tmp_path):
         modules = _run(
             f"""
