@@ -363,18 +363,21 @@ def run_context(
     config: Mapping[str, Any] | None = None,
     seeds: Mapping[str, int] | None = None,
     manifest_path: Path | None = None,
+    keep_spans: bool = False,
 ) -> Iterator[Run]:
     """Run ``command`` under the collectors and telemetry its flags ask for.
 
     ``manifest_path`` is where the manifest goes by default; with
     ``None`` it is written only to ``--manifest-out``.  A block that
-    raises writes nothing.
+    raises writes nothing.  The tracer keeps span objects only under
+    ``--trace-spans`` or ``keep_spans`` (a command that reads its own
+    spans back); otherwise it keeps just the stage aggregates.
     """
     from ..obs import RunManifest, eventlog, metrics, timeline, tracing
 
     run = Run(
         RunManifest(command=command, config=dict(config or {}), seeds=dict(seeds or {})),
-        tracing.Tracer(),
+        tracing.Tracer(keep_spans=keep_spans or args.trace_spans),
         metrics.MetricsRegistry(),
     )
     if hasattr(args, "workers"):

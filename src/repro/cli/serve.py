@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from collections.abc import Iterable
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 from ..obs.durable import atomic_write
@@ -222,11 +224,13 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         )
         diverged = 0
         if check_parity:
+            # On the engine's warm workers, when it has them.
             offline = predictor.predict_proba_records(
                 records,
                 workers=run.workers,
                 policy=run.policy,
                 supervision=run.supervision,
+                pool=engine.scoring_pool(),
             )[start_row:]
             diverged = _diverged(result.probability, offline)
         if args.out:
@@ -415,6 +419,44 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stdin_lines(
+    next_timeout: Callable[[], float | None],
+) -> Iterator[str | None]:
+    """Lines of stdin as they arrive, and ``None`` whenever
+    ``next_timeout()`` seconds (``None``: no limit) pass without one.
+
+    Reads the descriptor with ``os.read`` and splits the lines itself,
+    yielding every complete line before it selects again: a line left in
+    a Python read buffer would be invisible to ``select``.  A stream
+    that cannot be selected on (an in-memory stream, a regular file)
+    never pauses, so it is read line by line.
+    """
+    import selectors
+
+    sel = selectors.DefaultSelector()
+    try:
+        fd = sys.stdin.fileno()
+        sel.register(fd, selectors.EVENT_READ)
+    except (OSError, ValueError):
+        sel.close()
+        yield from sys.stdin
+        return
+    with sel:
+        partial = b""
+        while True:
+            if not sel.select(next_timeout()):
+                yield None
+                continue
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                break
+            *lines, partial = (partial + chunk).split(b"\n")
+            for line in lines:
+                yield line.decode("utf-8", "replace")
+    if partial:
+        yield partial.decode("utf-8", "replace")
+
+
 def _cmd_serve_run(args: argparse.Namespace) -> int:
     from ..serve import (
         AdmissionGuard,
@@ -449,10 +491,30 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     )
     n_lines = 0
     health = breaker.state
+    # stdout is a function of stdin alone: each error/status record is
+    # tagged with the number of requests admitted before it and printed
+    # right after the last of their scores, wherever batches close.
+    held: deque[tuple[int, str]] = deque()
+    n_scored = 0
 
     def emit(line: str) -> None:
         print(line)
         sys.stdout.flush()
+
+    def release() -> None:
+        while held and held[0][0] <= n_scored:
+            emit(held.popleft()[1])
+
+    def emit_record(body: dict) -> None:
+        held.append((engine.requests_total, json.dumps(body)))
+        release()
+
+    def emit_scores(events: Iterable) -> None:
+        nonlocal n_scored
+        for event in events:
+            emit(_score_jsonl_line(event))
+            n_scored += 1
+            release()
 
     def emit_health() -> None:
         # Status records ride the same stdout transport as scores; their
@@ -460,7 +522,7 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
         nonlocal health
         if guard.breaker.state != health:
             health = guard.breaker.state
-            emit(json.dumps({"type": "status", "health": health, "line": n_lines}))
+            emit_record({"type": "status", "health": health, "line": n_lines})
 
     with run_context(
         args,
@@ -489,45 +551,53 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
             staleness=staleness,
             telemetry=run.telemetry,
         )
-        for line in sys.stdin:
-            line = line.strip()
-            if not line:
-                continue
-            n_lines += 1
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                reason = f"not valid JSON: {exc}"
-                guard.divert_raw(line, reason)
-                body = {"type": "error", "line": n_lines, "fault": "malformed", "reason": reason}
-                emit(json.dumps(body))
+        try:
+            for line in _stdin_lines(engine.batcher.next_flush_in):
+                if line is None:  # idle until the batcher's next flush
+                    emit_scores(engine.poll())
+                    continue
+                line = line.strip()
+                if not line:
+                    continue
+                n_lines += 1
+                try:
+                    record = json.loads(line)
+                except ValueError as exc:
+                    reason = f"not valid JSON: {exc}"
+                    guard.divert_raw(line, reason)
+                    body = {"type": "error", "line": n_lines, "fault": "malformed", "reason": reason}
+                    emit_record(body)
+                    emit_health()
+                    continue
+                flushed = engine.submit(record)
+                # Dead-lettered events get a structured error record on the
+                # same transport; exact duplicates are dropped silently
+                # (idempotent re-delivery is not an error).
+                outcome = guard.last_outcome
+                if outcome is not None and outcome.fault is not None:
+                    body = {
+                        "type": "error",
+                        "line": n_lines,
+                        "fault": outcome.fault,
+                        "status": outcome.status,
+                        "reason": outcome.reason,
+                    }
+                    if outcome.drive_id is not None:
+                        body["drive_id"] = outcome.drive_id
+                    if outcome.age_days is not None:
+                        body["age_days"] = outcome.age_days
+                    if outcome.watermark is not None:
+                        body["watermark"] = outcome.watermark
+                    emit_record(body)
+                emit_scores(flushed)
                 emit_health()
-                continue
-            flushed = engine.submit(record)
-            # Dead-lettered events get a structured error record on the
-            # same transport; exact duplicates are dropped silently
-            # (idempotent re-delivery is not an error).
-            outcome = guard.last_outcome
-            if outcome is not None and outcome.fault is not None:
-                body = {
-                    "type": "error",
-                    "line": n_lines,
-                    "fault": outcome.fault,
-                    "status": outcome.status,
-                    "reason": outcome.reason,
-                }
-                if outcome.drive_id is not None:
-                    body["drive_id"] = outcome.drive_id
-                if outcome.age_days is not None:
-                    body["age_days"] = outcome.age_days
-                if outcome.watermark is not None:
-                    body["watermark"] = outcome.watermark
-                emit(json.dumps(body))
-            for event in flushed:
-                emit(_score_jsonl_line(event))
-            emit_health()
-        for event in engine.drain():
-            emit(_score_jsonl_line(event))
+        except KeyboardInterrupt:
+            # SIGTERM/SIGINT: the pending requests go unscored, but every
+            # error/status record already produced still reaches stdout.
+            for _, record in held:
+                emit(record)
+            raise
+        emit_scores(engine.drain())
         emit_health()
         if args.snapshot:
             store.snapshot(args.snapshot)
@@ -890,8 +960,10 @@ def register(sub: argparse._SubParsersAction) -> None:
         type=float,
         default=0.005,
         metavar="SECONDS",
-        help="max time the oldest pending request waits before a flush "
-        "(default: 0.005; 0 disables batching)",
+        help="hard bound on how long the oldest pending request waits "
+        "before a flush; an idle batch closes sooner, once its summed "
+        "wait pays for one scoring call (default: 0.005; 0 disables "
+        "batching)",
     )
     p_run.add_argument(
         "--restore",

@@ -90,6 +90,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         },
         seeds={"seed": args.seed},
         manifest_path=out / RUN_MANIFEST,
+        # results.chunk_timings reads the chunk spans back.
+        keep_spans=True,
     ) as run:
         if not quiet:
             suffix = f" ({run.workers} workers)" if run.workers > 1 else ""

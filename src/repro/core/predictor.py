@@ -223,6 +223,7 @@ class FailurePredictor:
         workers: int | None = None,
         policy: object | None = None,
         supervision: object | None = None,
+        pool: "SupervisedPool | None" = None,
     ) -> np.ndarray:
         """Failure probability for every row of a prediction dataset.
 
@@ -231,7 +232,8 @@ class FailurePredictor:
         :class:`repro.resilience.SupervisorPolicy` adds deadlines and
         deterministic retries; quarantine is forced off (the shards
         concatenate into one probability vector, so a hole would be
-        silent corruption).
+        silent corruption).  ``pool`` scores on a warm
+        :meth:`scoring_pool` instead (see :meth:`predict_proba_matrix`).
         """
         self._require_fitted()
         if dataset.feature_names != self._feature_names:
@@ -243,6 +245,7 @@ class FailurePredictor:
                 workers=workers,
                 policy=policy,
                 supervision=supervision,
+                pool=pool,
             )
 
     def scoring_pool(
@@ -321,8 +324,10 @@ class FailurePredictor:
         workers: int | None = None,
         policy: object | None = None,
         supervision: object | None = None,
+        pool: "SupervisedPool | None" = None,
     ) -> np.ndarray:
-        """Failure probability for every row of a raw telemetry dataset."""
+        """Failure probability for every row of a raw telemetry dataset
+        (execution arguments as :meth:`predict_proba_dataset`)."""
         self._require_fitted()
         frame = build_features(records)
         dataset = PredictionDataset(
@@ -335,7 +340,11 @@ class FailurePredictor:
             lookahead=self.lookahead,
         )
         return self.predict_proba_dataset(
-            dataset, workers=workers, policy=policy, supervision=supervision
+            dataset,
+            workers=workers,
+            policy=policy,
+            supervision=supervision,
+            pool=pool,
         )
 
     def risk_report(

@@ -7,6 +7,12 @@ attributes such as ``rows_in``/``rows_out``.  Spans nest: the span that
 is open on the current thread when a new one starts becomes its parent,
 so the collected list reconstructs the full call tree.
 
+A :class:`Tracer` folds every finished span into per-stage aggregates
+(:meth:`Tracer.stage_summary`) as it ends, so a long-running process's
+tracer stays flat in memory.  The span objects themselves — the tree a
+``--trace-spans`` manifest records — are kept only by a
+``Tracer(keep_spans=True)``.
+
 Instrumented library code never talks to a :class:`Tracer` directly; it
 calls the module-level :func:`span` context manager (or the
 :func:`traced` decorator), which is a near-free no-op unless a tracer
@@ -21,7 +27,8 @@ has been activated for the process::
 
 Timings use :func:`time.perf_counter` (monotonic), so span durations are
 immune to wall-clock adjustments.  The collector takes its lock only on
-span *finish*; the per-thread open-span stack is thread-local.
+span *start* (for its id) and *finish*; the per-thread open-span stack is
+thread-local.
 """
 
 from __future__ import annotations
@@ -125,11 +132,14 @@ _SUMMED_PREFIXES = ("rows_", "n_")
 
 
 class Tracer:
-    """Thread-safe collector of finished spans."""
+    """Thread-safe collector: per-stage aggregates, plus the finished
+    spans themselves when ``keep_spans`` is set."""
 
-    def __init__(self) -> None:
+    def __init__(self, keep_spans: bool = False) -> None:
+        self.keep_spans = keep_spans
         self._lock = threading.Lock()
         self._epoch = time.perf_counter()
+        self._stages: dict[str, dict[str, float]] = {}
         self._spans: list[Span] = []
         self._next_id = 0
         self._local = threading.local()
@@ -141,9 +151,29 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
+    def _fold(self, name: str, duration: float | None, attrs: dict) -> None:
+        """Add one finished span to its stage's aggregate (lock held)."""
+        agg = self._stages.get(name)
+        if agg is None:
+            agg = self._stages[name] = {
+                "calls": 0,
+                "total_seconds": 0.0,
+                "min_seconds": float("inf"),
+                "max_seconds": 0.0,
+            }
+        dur = duration or 0.0
+        agg["calls"] += 1
+        agg["total_seconds"] += dur
+        agg["min_seconds"] = min(agg["min_seconds"], dur)
+        agg["max_seconds"] = max(agg["max_seconds"], dur)
+        for key, value in attrs.items():
+            if key.startswith(_SUMMED_PREFIXES) and isinstance(value, (int, float)):
+                agg[key] = agg.get(key, 0) + value
+
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[Span]:
-        """Open a nested span; finished spans land in the collector."""
+        """Open a nested span; it is folded into the aggregates (and
+        kept, under ``keep_spans``) when it finishes."""
         stack = self._stack()
         parent_id = stack[-1].span_id if stack else None
         with self._lock:
@@ -164,7 +194,9 @@ class Tracer:
             sp.duration = time.perf_counter() - t0
             stack.pop()
             with self._lock:
-                self._spans.append(sp)
+                self._fold(sp.name, sp.duration, sp.attrs)
+                if self.keep_spans:
+                    self._spans.append(sp)
 
     def now(self) -> float:
         """Seconds since this tracer's epoch (monotonic clock)."""
@@ -183,16 +215,19 @@ class Tracer:
     ) -> int:
         """Adopt spans recorded by another tracer (e.g. a pool worker).
 
-        Span ids are reassigned to this collector's sequence; parent links
-        *within* the batch are preserved, batch roots are re-parented onto
+        Each span is folded into this tracer's aggregates.  Kept spans
+        get ids from this collector's sequence; parent links *within*
+        the batch are preserved, batch roots are re-parented onto
         ``parent_id``.  ``offset`` shifts the foreign start times (the
         other tracer has its own epoch) onto this tracer's timeline.
         Returns the number of spans absorbed.
         """
         span_dicts = list(span_dicts)
-        if not span_dicts:
-            return 0
         with self._lock:
+            for d in span_dicts:
+                self._fold(d["name"], d.get("duration"), d.get("attrs", {}))
+            if not self.keep_spans:
+                return len(span_dicts)
             base = self._next_id
             self._next_id += len(span_dicts)
         remap = {
@@ -200,26 +235,25 @@ class Tracer:
             for i, d in enumerate(span_dicts)
             if d.get("span_id") is not None
         }
-        adopted: list[Span] = []
-        for i, d in enumerate(span_dicts):
-            foreign_parent = d.get("parent_id")
-            adopted.append(
-                Span(
-                    name=d["name"],
-                    span_id=base + i,
-                    parent_id=remap.get(foreign_parent, parent_id),
-                    start=float(d.get("start", 0.0)) + offset,
-                    duration=d.get("duration"),
-                    attrs=dict(d.get("attrs", {})),
-                )
+        adopted = [
+            Span(
+                name=d["name"],
+                span_id=base + i,
+                parent_id=remap.get(d.get("parent_id"), parent_id),
+                start=float(d.get("start", 0.0)) + offset,
+                duration=d.get("duration"),
+                attrs=dict(d.get("attrs", {})),
             )
+            for i, d in enumerate(span_dicts)
+        ]
         with self._lock:
             self._spans.extend(adopted)
         return len(adopted)
 
     # --------------------------------------------------------------- reading
     def finished(self) -> list[Span]:
-        """Finished spans, ordered by start time."""
+        """Finished spans, ordered by start time (empty unless
+        ``keep_spans``)."""
         with self._lock:
             return sorted(self._spans, key=lambda s: (s.start, s.span_id))
 
@@ -228,37 +262,14 @@ class Tracer:
         return [s.to_dict() for s in self.finished()]
 
     def stage_summary(self) -> dict[str, dict[str, float]]:
-        """Aggregate finished spans by name.
+        """Per-stage aggregates of every finished span.
 
         Per stage: ``calls``, ``total_seconds``, ``min_seconds``,
         ``max_seconds`` plus the sum of every numeric attribute whose key
         starts with ``rows_`` or ``n_`` (row accounting).
         """
-        out: dict[str, dict[str, float]] = {}
-        for sp in self.finished():
-            agg = out.setdefault(
-                sp.name,
-                {
-                    "calls": 0,
-                    "total_seconds": 0.0,
-                    "min_seconds": float("inf"),
-                    "max_seconds": 0.0,
-                },
-            )
-            dur = sp.duration or 0.0
-            agg["calls"] += 1
-            agg["total_seconds"] += dur
-            agg["min_seconds"] = min(agg["min_seconds"], dur)
-            agg["max_seconds"] = max(agg["max_seconds"], dur)
-            for key, value in sp.attrs.items():
-                if key.startswith(_SUMMED_PREFIXES) and isinstance(
-                    value, (int, float)
-                ):
-                    agg[key] = agg.get(key, 0) + value
-        for agg in out.values():
-            if agg["calls"] == 0:  # pragma: no cover - defensive
-                agg["min_seconds"] = 0.0
-        return out
+        with self._lock:
+            return {name: dict(agg) for name, agg in self._stages.items()}
 
 
 # --------------------------------------------------------------------------
@@ -283,8 +294,12 @@ def set_active(tracer: Tracer | None) -> Tracer | None:
 
 @contextmanager
 def activate(tracer: Tracer | None = None) -> Iterator[Tracer]:
-    """Activate a tracer for the duration of the block (reentrant-safe)."""
-    tracer = tracer if tracer is not None else Tracer()
+    """Activate a tracer for the duration of the block (reentrant-safe).
+
+    Without ``tracer`` the block gets a fresh one that keeps its spans:
+    a block that makes its own tracer is there to read it back.
+    """
+    tracer = tracer if tracer is not None else Tracer(keep_spans=True)
     previous = set_active(tracer)
     try:
         yield tracer

@@ -12,7 +12,9 @@ collectors via :func:`merge_obs`:
 
 - spans are re-homed with fresh ids, re-parented onto the span that is
   open on the consuming thread, and shifted onto the parent's timeline
-  (the worker's clock epoch is meaningless here);
+  (the worker's clock epoch is meaningless here); a parent tracer that
+  does not keep spans folds them into its stage aggregates and drops
+  them;
 - counters and histograms are added, gauges take the worker's value.
 
 The net effect: stage summaries, run manifests and Prometheus exports
@@ -57,7 +59,7 @@ def capture_obs(enabled: bool = True) -> Iterator[ObsDelta]:
     if not enabled:
         yield delta
         return
-    tracer = tracing.Tracer()
+    tracer = tracing.Tracer(keep_spans=True)  # shipped as span dicts
     registry = metrics.MetricsRegistry()
     timeline = obs_timeline.Timeline(registry=registry)
     t0 = time.perf_counter()

@@ -4,7 +4,8 @@ The request loop of :mod:`repro.serve`: every incoming drive-day event
 is folded into the :class:`~repro.serve.feature_store.FeatureStore`
 (producing its feature row through the shared kernel) and queued as a
 scoring request; the :class:`~repro.serve.batching.MicroBatcher` flushes
-pending requests by size/wait bounds into one vectorized
+pending requests by size/wait bounds (or, on an idle tick, once their
+summed wait pays for one scoring call) into one vectorized
 :meth:`~repro.core.predictor.FailurePredictor.predict_proba_matrix`
 call.  Large flushed batches (backfills) optionally fan out across
 the warm workers of a :class:`repro.resilience.SupervisedPool`, under
@@ -49,6 +50,14 @@ __all__ = ["ScoredEvent", "ReplayResult", "ScoringEngine", "TelemetryConfig"]
 BACKFILL_MIN_ROWS = 2048
 
 
+def _calendar_day(record: Any) -> int:
+    """The event's calendar day, or -1 when it carries no usable one."""
+    try:
+        return int(record["calendar_day"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return -1
+
+
 @dataclass(frozen=True)
 class TelemetryConfig:
     """Live-telemetry knobs for the engine (heartbeats + SLO summary).
@@ -77,7 +86,7 @@ class ScoredEvent:
 
     ``staleness_days``/``stale`` carry the degraded-scoring metadata:
     how far the event's calendar day lagged the fleet watermark at
-    scoring time, and whether that lag crossed the engine's
+    admission, and whether that lag crossed the engine's
     :class:`~repro.serve.health.StalenessPolicy` bound.  Both stay at
     their zero defaults when no staleness policy is configured.
     """
@@ -132,7 +141,8 @@ class ScoringEngine:
     store:
         Feature store to fold events into; a fresh one by default.
     batch_policy:
-        Micro-batching bounds; default flushes at 256 requests / 5 ms.
+        Micro-batching bounds; default flushes at 256 requests / 5 ms,
+        and :meth:`poll` may flush sooner by the cost rule.
     workers, policy, supervision:
         Execution controls applied to large flushed batches (see
         :data:`BACKFILL_MIN_ROWS`): worker processes for sharded predict
@@ -341,8 +351,16 @@ class ScoringEngine:
             batch = self.batcher.flush()
             if batch:
                 pre = self._score_batch(batch)
+        cal = _calendar_day(record)
         if self.guard is not None:
-            outcome = self.guard.admit(record)
+            # A stale event under count_as_fault is a breaker fault, not
+            # a healthy admission — decided here, at admission, so the
+            # health state never depends on when a batch closes.
+            _, stale = self._lag(cal, self._fleet_day)
+            outcome = self.guard.admit(
+                record,
+                healthy=not (stale and self.staleness.count_as_fault),
+            )
             if not outcome.accepted:
                 self._observe_events(1)
                 return pre
@@ -356,16 +374,14 @@ class ScoringEngine:
             row = self.ingest(record)
             drive_id = int(record["drive_id"])
             age = int(record["age_days"])
-        try:
-            cal = int(record["calendar_day"])
-        except (KeyError, TypeError, ValueError):
-            cal = -1
         if cal > self._fleet_day:
             self._fleet_day = cal
         self._observe_events(
             1, watermark=self._fleet_day if self._fleet_day >= 0 else None
         )
-        request = (drive_id, age, cal, row)
+        # Stamped with the fleet watermark at admission: staleness is a
+        # function of the arrival order, never of the batch boundaries.
+        request = (drive_id, age, cal, row, self._fleet_day)
         self.requests_total += 1
         metrics.inc(
             "repro_serve_requests_total",
@@ -382,7 +398,10 @@ class ScoringEngine:
         return pre + self._score_batch(batch)
 
     def poll(self) -> list[ScoredEvent]:
-        """Flush by wait-bound only (idle tick of the request loop)."""
+        """Idle tick of the request loop: flush once the oldest request
+        reached the wait bound, or once the pending requests' summed wait
+        reached the measured cost of one scoring call (see
+        :class:`~repro.serve.batching.MicroBatcher`)."""
         batch = self.batcher.poll()
         if not batch:
             return []
@@ -402,9 +421,11 @@ class ScoringEngine:
             self.heartbeat()
         return scored
 
-    def _ensure_scoring_pool(self) -> Any:
-        """The warm pool, spawned on the first backfill-sized batch;
-        ``None`` when fan-out is off (a resolved worker count of 1)."""
+    def scoring_pool(self) -> Any:
+        """The engine's warm pool, spawned on the first backfill-sized
+        batch (or on this call); ``None`` when fan-out is off (a resolved
+        worker count of 1).  Other scoring of the same model, such as
+        ``serve replay``'s offline parity check, can run on it."""
         if self._scoring_pool is None:
             from ..parallel import resolve_workers
 
@@ -431,43 +452,32 @@ class ScoringEngine:
 
     def _score_rows(self, X: np.ndarray, ages: np.ndarray) -> np.ndarray:
         """Vectorized predict; fans out only for backfill-sized batches,
-        on the warm :meth:`_ensure_scoring_pool` under the engine's
+        on the warm :meth:`scoring_pool` under the engine's
         supervision policy.  Row sharding never changes the bytes."""
         pool = (
-            self._ensure_scoring_pool() if X.shape[0] >= BACKFILL_MIN_ROWS else None
+            self.scoring_pool() if X.shape[0] >= BACKFILL_MIN_ROWS else None
         )
         if pool is not None:
             return self.predictor.predict_proba_matrix(X, ages, pool=pool)
         return self.predictor.predict_proba_matrix(X, ages, workers=1)
 
-    def _staleness(self, cal: int) -> tuple[int, bool]:
-        """Lag of one scored event behind the fleet watermark."""
-        if self.staleness is None or cal < 0 or self._fleet_day < 0:
+    def _lag(self, cal: int, watermark: int) -> tuple[int, bool]:
+        """Lag of an event's calendar day behind a fleet watermark, and
+        whether it crosses the staleness bound."""
+        if self.staleness is None or cal < 0 or watermark < 0:
             return 0, False
-        lag = max(0, self._fleet_day - cal)
-        metrics.set_gauge(
-            "repro_serve_staleness_days",
-            float(lag),
-            help="Calendar lag of the most recently scored event vs the watermark",
-        )
-        stale = lag > self.staleness.max_lag_days
-        if stale:
-            self.stale_scores += 1
-            metrics.inc(
-                "repro_serve_stale_scores_total",
-                help="Scores tagged stale (calendar lag past the policy bound)",
-            )
-            if self.staleness.count_as_fault and self.guard is not None:
-                self.guard._signal(ok=False)
-        return lag, stale
+        lag = max(0, watermark - cal)
+        return lag, lag > self.staleness.max_lag_days
 
     def _score_batch(self, batch: list[tuple]) -> list[ScoredEvent]:
         t0 = self.clock()
         with tracing.span("repro.serve.score_batch", rows_in=len(batch)) as sp:
-            X = np.stack([row for _, _, _, row in batch])
-            ages = np.asarray([age for _, age, _, _ in batch], dtype=np.int64)
+            X = np.stack([req[3] for req in batch])
+            ages = np.asarray([req[1] for req in batch], dtype=np.int64)
             probs = self._score_rows(X, ages)
             sp.set(rows_out=len(batch))
+        seconds = self.clock() - t0
+        self.batcher.record_cost(seconds)
         self.batches_total += 1
         metrics.inc(
             "repro_serve_batches_total",
@@ -480,19 +490,31 @@ class ScoringEngine:
         )
         metrics.observe(
             "repro_serve_score_seconds",
-            self.clock() - t0,
+            seconds,
             help="Wall time of one vectorized scoring call",
         )
         if self.on_scored is not None:
             self.on_scored(
-                np.asarray([d for d, _, _, _ in batch], dtype=np.int64),
+                np.asarray([req[0] for req in batch], dtype=np.int64),
                 ages,
-                np.asarray([c for _, _, c, _ in batch], dtype=np.int64),
+                np.asarray([req[2] for req in batch], dtype=np.int64),
                 probs,
             )
         out: list[ScoredEvent] = []
-        for (d, a, c, _), p in zip(batch, probs):
-            lag, stale = self._staleness(c)
+        for (d, a, c, _, watermark), p in zip(batch, probs):
+            lag, stale = self._lag(c, watermark)
+            if self.staleness is not None and c >= 0 and watermark >= 0:
+                metrics.set_gauge(
+                    "repro_serve_staleness_days",
+                    float(lag),
+                    help="Calendar lag of the most recently scored event vs the watermark",
+                )
+            if stale:
+                self.stale_scores += 1
+                metrics.inc(
+                    "repro_serve_stale_scores_total",
+                    help="Scores tagged stale (calendar lag past the policy bound)",
+                )
             out.append(
                 ScoredEvent(
                     drive_id=d,
@@ -715,8 +737,9 @@ class ScoringEngine:
     ) -> Iterable[ScoredEvent]:
         """Generator transport: events in, scored events out (in order).
 
-        Used by the stdin/stdout JSONL loop of ``serve run``; flushes
-        whatever is pending when the input stream ends.
+        Used by the event-wise chaos replays of ``serve replay`` and
+        ``fleet run`` and by ``serve heal``; flushes whatever is pending
+        when the input stream ends.
         """
         for record in records:
             yield from self.submit(record)

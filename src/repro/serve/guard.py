@@ -258,12 +258,15 @@ class AdmissionGuard:
         )
 
     # ------------------------------------------------------------------ admit
-    def admit(self, record: Any) -> AdmissionOutcome:
+    def admit(self, record: Any, healthy: bool = True) -> AdmissionOutcome:
         """Classify one event and carry out the decision.
 
         Accepted events fold into the store (returning the feature row
         on the outcome); duplicates are dropped; everything else is
-        diverted to the DLQ.  Never raises on bad input.
+        diverted to the DLQ.  Never raises on bad input.  With
+        ``healthy=False`` an accepted event counts as a breaker fault
+        (the engine's stale events under
+        ``StalenessPolicy(count_as_fault=True)``).
         """
         outcome = self.classify(record)
         if outcome.accepted:
@@ -272,7 +275,7 @@ class AdmissionGuard:
             if self.journal is not None:
                 self.journal.record(record)
             self.stats.admitted += 1
-            self._signal(ok=True)
+            self._signal(ok=healthy)
             metrics.inc(
                 "repro_serve_admitted_total",
                 help="Events accepted by the admission guard",

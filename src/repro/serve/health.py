@@ -66,8 +66,10 @@ class StalenessPolicy:
 
     ``max_lag_days`` compares a scored event's ``calendar_day`` against
     the fleet watermark (newest calendar day seen by the engine) at
-    flush time.  ``count_as_fault`` feeds stale scores into the circuit
-    breaker, so a fleet scoring mostly-stale drives degrades visibly.
+    admission, so the tag depends only on the arrival order, never on
+    when the event's batch closes.  ``count_as_fault`` counts a stale
+    admission as a circuit-breaker fault (in place of a healthy one), so
+    a fleet scoring mostly-stale drives degrades visibly.
     """
 
     max_lag_days: int = 7
@@ -82,7 +84,7 @@ class ServeBreaker:
     """Consecutive-fault circuit breaker over the admission stream.
 
     ``fault_threshold`` consecutive faults (dead letters, sheds, and —
-    under ``StalenessPolicy(count_as_fault=True)`` — stale scores) trip
+    under ``StalenessPolicy(count_as_fault=True)`` — stale admissions) trip
     ``ready`` → ``degraded``; ``recovery_threshold`` consecutive healthy
     admissions close the breaker again.  ``begin_drain()`` moves to the
     terminal ``draining`` state from anywhere.

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.obs import tracing
 from repro.obs.tracing import Span, Tracer
+from repro.parallel import capture_obs, merge_obs
 
 
 class TestSpanNesting:
@@ -32,7 +35,7 @@ class TestSpanNesting:
         assert b.parent_id == outer.span_id
 
     def test_finished_ordered_by_start(self):
-        tracer = Tracer()
+        tracer = Tracer(keep_spans=True)
         with tracer.span("repro.test.outer"):
             with tracer.span("repro.test.inner"):
                 pass
@@ -41,7 +44,7 @@ class TestSpanNesting:
         assert names == ["repro.test.outer", "repro.test.inner"]
 
     def test_stack_pops_on_exception(self):
-        tracer = Tracer()
+        tracer = Tracer(keep_spans=True)
         with pytest.raises(RuntimeError):
             with tracer.span("repro.test.boom"):
                 raise RuntimeError("boom")
@@ -66,7 +69,7 @@ class TestTimingMonotonicity:
         assert inner.start >= outer.start
 
     def test_sequential_spans_have_nondecreasing_starts(self):
-        tracer = Tracer()
+        tracer = Tracer(keep_spans=True)
         for i in range(5):
             with tracer.span(f"repro.test.s{i}"):
                 pass
@@ -104,7 +107,7 @@ class TestAttrsAndSummary:
         assert agg["n_bad"] == 2
 
     def test_to_dicts_round_trip_fields(self):
-        tracer = Tracer()
+        tracer = Tracer(keep_spans=True)
         with tracer.span("repro.test.x", rows_in=5):
             pass
         (d,) = tracer.to_dicts()
@@ -161,7 +164,7 @@ class TestActivation:
 
 class TestThreadSafety:
     def test_concurrent_spans_unique_ids(self):
-        tracer = Tracer()
+        tracer = Tracer(keep_spans=True)
         n_threads, per_thread = 8, 50
 
         def work(tid: int) -> None:
@@ -184,3 +187,93 @@ class TestThreadSafety:
         agg = tracer.stage_summary()["repro.test.thread"]
         assert agg["calls"] == n_threads * per_thread
         assert agg["n_items"] == n_threads * per_thread
+
+
+def _nested_workload(tracer: Tracer, n: int) -> None:
+    for i in range(n):
+        with tracer.span("repro.test.outer", rows_in=2) as sp:
+            with tracer.span("repro.test.inner", n_items=1, model="A"):
+                pass
+            sp.set(rows_out=i % 3)
+
+
+def _summary_from_spans(spans: list[Span]) -> dict:
+    """The per-stage aggregates, recomputed from kept span objects."""
+    out: dict = {}
+    for sp in spans:
+        agg = out.setdefault(
+            sp.name,
+            {"calls": 0, "total_seconds": 0.0, "min_seconds": float("inf"), "max_seconds": 0.0},
+        )
+        agg["calls"] += 1
+        agg["total_seconds"] += sp.duration
+        agg["min_seconds"] = min(agg["min_seconds"], sp.duration)
+        agg["max_seconds"] = max(agg["max_seconds"], sp.duration)
+        for key, value in sp.attrs.items():
+            if key.startswith(("rows_", "n_")):
+                agg[key] = agg.get(key, 0) + value
+    return out
+
+
+class TestAggregatesOnly:
+    """A default tracer folds spans into stage aggregates and keeps none."""
+
+    def _fake_clock(self, monkeypatch) -> None:
+        # Durations on a 1/1024 s grid: every sum is exact in any order.
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            tracing, "time", SimpleNamespace(perf_counter=lambda: next(ticks) / 1024)
+        )
+
+    def test_100k_spans_keep_nothing_and_summarize_identically(self, monkeypatch):
+        summaries = {}
+        for keep in (False, True):
+            self._fake_clock(monkeypatch)
+            tracer = Tracer(keep_spans=keep)
+            _nested_workload(tracer, 50_000)  # 100k spans
+            summaries[keep] = tracer.stage_summary()
+            if keep:
+                assert len(tracer.finished()) == 100_000
+                assert summaries[keep] == _summary_from_spans(tracer.finished())
+            else:
+                assert tracer.finished() == [] and tracer.to_dicts() == []
+        assert summaries[False] == summaries[True]
+        assert summaries[False]["repro.test.outer"]["calls"] == 50_000
+        assert summaries[False]["repro.test.inner"]["n_items"] == 50_000
+
+    def test_span_ids_still_link_parents(self):
+        tracer = Tracer()
+        with tracer.span("repro.test.outer") as outer:
+            assert tracer.current_parent_id() == outer.span_id
+            with tracer.span("repro.test.inner") as inner:
+                pass
+        assert inner.parent_id == outer.span_id
+        assert tracer.finished() == []
+
+    def test_absorbed_spans_fold_without_being_kept(self, monkeypatch):
+        self._fake_clock(monkeypatch)
+        src = Tracer(keep_spans=True)
+        _nested_workload(src, 10)
+        dst = Tracer()
+        assert dst.absorb(src.to_dicts(), offset=5.0) == 20
+        assert dst.finished() == []
+        assert dst.stage_summary() == src.stage_summary()
+
+    def test_captured_spans_fold_into_a_parent_that_keeps_none(self):
+        with capture_obs() as delta:
+            with tracing.span("repro.test.task", rows_in=4):
+                pass
+        assert [s["name"] for s in delta.spans] == ["repro.test.task"]
+        parent = Tracer()
+        with tracing.activate(parent):
+            merge_obs(delta)
+        agg = parent.stage_summary()["repro.test.task"]
+        assert (agg["calls"], agg["rows_in"]) == (1, 4)
+        assert parent.finished() == []
+
+    def test_bare_activation_keeps_spans(self):
+        with tracing.activate() as tracer:
+            with tracing.span("repro.test.kept"):
+                pass
+        assert tracer.keep_spans
+        assert [s.name for s in tracer.finished()] == ["repro.test.kept"]

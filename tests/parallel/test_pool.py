@@ -214,7 +214,7 @@ class TestObsMerge:
         with capture_obs() as delta:
             with tracing.span("child.stage"):
                 pass
-        tracer = tracing.Tracer()
+        tracer = tracing.Tracer(keep_spans=True)
         with tracing.activate(tracer):
             with tracing.span("parent.stage"):
                 merge_obs(delta)
@@ -234,12 +234,12 @@ class TestObsMerge:
 
 class TestAbsorb:
     def test_ids_remapped_and_offset_applied(self):
-        src = tracing.Tracer()
+        src = tracing.Tracer(keep_spans=True)
         with tracing.activate(src):
             with tracing.span("outer"):
                 with tracing.span("inner"):
                     pass
-        dst = tracing.Tracer()
+        dst = tracing.Tracer(keep_spans=True)
         with tracing.activate(dst):
             with tracing.span("top"):
                 pass

@@ -403,7 +403,7 @@ class TestPooledSupervised:
 
     def test_retried_task_spans_carry_attempt_attr(self, monkeypatch):
         monkeypatch.setenv(ENV_CHAOS, "error=1.0")
-        tracer = tracing.Tracer()
+        tracer = tracing.Tracer(keep_spans=True)
         pol = SupervisorPolicy(max_retries=1, backoff_base=0.001)
         with tracing.activate(tracer):
             list(
@@ -447,7 +447,7 @@ class TestMergeObsExtraAttrs:
             ],
             elapsed=0.1,
         )
-        tracer = tracing.Tracer()
+        tracer = tracing.Tracer(keep_spans=True)
         with tracing.activate(tracer):
             merge_obs(delta, extra_attrs={"attempt": 3})
         by_name = {s.name: s for s in tracer.finished()}

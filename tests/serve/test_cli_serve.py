@@ -4,12 +4,60 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.obs import load_manifest, validate_manifest
+
+SRC = Path(repro.__file__).resolve().parents[1]
+
+
+def _serve_run_proc(served, *flags: str) -> subprocess.Popen:
+    """``serve run`` in a child process on pipes, as a service runs it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.cli",
+            "serve",
+            "run",
+            "--registry",
+            str(served["registry"]),
+            *flags,
+        ],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+def _await_banner(proc: subprocess.Popen, timeout: float = 60.0) -> None:
+    """Block until ``serve run`` announces its stdin loop on stderr."""
+    deadline = time.monotonic() + timeout
+    while True:
+        ready, _, _ = select.select(
+            [proc.stderr], [], [], max(0.0, deadline - time.monotonic())
+        )
+        assert ready, "serve run did not start"
+        line = proc.stderr.readline()
+        assert line, f"serve run exited early: {proc.stderr.read()!r}"
+        if line.startswith(b"serve run: scoring"):
+            return
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +209,58 @@ class TestReplay:
             ]
         )
         assert code == 0
+
+    def test_parallel_parity_runs_on_the_engine_pool(
+        self, served, tmp_path, monkeypatch, capsys
+    ):
+        # The offline parity call scores on the engine's warm workers:
+        # one pool, two worker spawns, not a second pool of its own.
+        from repro.data.io import load_dataset_npz
+        from repro.resilience import supervisor
+        from repro.serve.engine import BACKFILL_MIN_ROWS
+
+        records = load_dataset_npz(served["fleet"] / "records.npz")
+        assert len(records["drive_id"]) >= BACKFILL_MIN_ROWS
+        built = []
+        spawned = []
+        pool_init = supervisor.SupervisedPool.__init__
+        worker_init = supervisor._WorkerHandle.__init__
+
+        def count_pool(pool, *args, **kwargs):
+            built.append(pool)
+            pool_init(pool, *args, **kwargs)
+
+        def count_worker(handle, *args, **kwargs):
+            spawned.append(handle)
+            worker_init(handle, *args, **kwargs)
+
+        monkeypatch.setattr(supervisor.SupervisedPool, "__init__", count_pool)
+        monkeypatch.setattr(supervisor._WorkerHandle, "__init__", count_worker)
+        outs = {}
+        for workers in ("2", "1"):
+            outs[workers] = tmp_path / f"scores-j{workers}.jsonl"
+            code = main(
+                [
+                    "serve",
+                    "replay",
+                    "--trace",
+                    str(served["fleet"]),
+                    "--model",
+                    str(served["model"]),
+                    "--chunk-rows",
+                    str(BACKFILL_MIN_ROWS),
+                    "--out",
+                    str(outs[workers]),
+                    "-j",
+                    workers,
+                    "--no-manifest",
+                ]
+            )
+            assert code == 0
+            assert "bit-for-bit" in capsys.readouterr().out
+            if workers == "2":
+                assert (len(built), len(spawned)) == (1, 2)
+        assert outs["2"].read_bytes() == outs["1"].read_bytes()
 
     def test_replay_manifest_validates(self, served):
         main(
@@ -396,6 +496,118 @@ class TestRun:
         assert np.array_equal(
             np.array([s["probability"] for s in scored]), offline
         )
+
+    def _interleaved_stream(self, fleet) -> list[str]:
+        """Two drives far apart in calendar time, interleaved, with a
+        malformed line, an exact duplicate and a late re-delivery."""
+        by_drive: dict[int, list[dict]] = {}
+        for event in self._events(fleet, n=10_000):
+            by_drive.setdefault(event["drive_id"], []).append(event)
+        first = {d: evs[0]["calendar_day"] for d, evs in by_drive.items()}
+        early = min(first, key=first.get)
+        late = max(first, key=first.get)
+        assert first[late] - first[early] > 1
+        a, b = by_drive[early][:12], by_drive[late][:12]
+        lines = []
+        for i in range(12):
+            lines += [json.dumps(a[i]), json.dumps(b[i])]
+            if i == 3:
+                lines.append("{not json")
+            if i == 5:
+                lines.append(json.dumps(b[i]))  # exact duplicate
+            if i == 8:
+                lines.append(json.dumps(a[2]))  # late: behind the watermark
+        return lines
+
+    def test_stdout_is_a_function_of_stdin(self, served):
+        # Unbatched, batch size 1, and a 50 ms wait bound with an input
+        # pause long enough for idle flushes: the same bytes, because
+        # staleness is stamped at admission and every error/status record
+        # lands right after the scores of the requests admitted before it.
+        lines = self._interleaved_stream(served["fleet"])
+        half = len(lines) // 2
+        flags = ["--max-stale-days", "1"]
+        outputs = []
+        for run_flags, pause in (
+            (["--max-wait", "0"], False),
+            (["--batch-size", "1"], False),
+            (["--max-wait", "0.05"], True),
+        ):
+            proc = _serve_run_proc(served, *flags, *run_flags)
+            if pause:
+                _await_banner(proc)
+                proc.stdin.write("\n".join(lines[:half]).encode() + b"\n")
+                proc.stdin.flush()
+                time.sleep(0.3)
+                rest = lines[half:]
+            else:
+                rest = lines
+            out, err = proc.communicate(
+                ("\n".join(rest) + "\n").encode(), timeout=120
+            )
+            assert proc.returncode == 1, err.decode()  # two diverted lines
+            outputs.append(out)
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+        records = [json.loads(s) for s in outputs[0].splitlines()]
+        scores = [r for r in records if "type" not in r]
+        errors = [r for r in records if r.get("type") == "error"]
+        assert len(scores) == 24
+        assert any(r.get("stale") for r in scores)
+        assert [e["fault"] for e in errors] == ["malformed", "late"]
+        assert records[-1] == {"type": "status", "health": "draining", "line": 27}
+
+    def test_lone_line_is_scored_within_the_wait_bound(self, served):
+        # A line followed by silence on an open stdin: the score comes
+        # out within --max-wait plus one scoring call, not at the next
+        # line.
+        (event,) = self._events(served["fleet"], n=1)
+        proc = _serve_run_proc(served, "--max-wait", "0.05")
+        try:
+            _await_banner(proc)
+            proc.stdin.write(json.dumps(event).encode() + b"\n")
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 1.0)
+            assert ready, "no score within 1 s of a lone line"
+            score = json.loads(proc.stdout.readline())
+            assert (score["drive_id"], score["age_days"]) == (
+                event["drive_id"],
+                event["age_days"],
+            )
+        finally:
+            proc.stdin.close()
+            proc.wait(timeout=60)
+            proc.stdout.close()
+            proc.stderr.close()
+        assert proc.returncode == 0
+
+    def test_sigterm_keeps_error_records_held_behind_a_pending_request(
+        self, served, tmp_path
+    ):
+        # The malformed line's error record waits for the score of the
+        # request before it, which a 60 s wait bound keeps pending; a
+        # SIGTERM in between must still print the record.
+        (event,) = self._events(served["fleet"], n=1)
+        dlq = tmp_path / "dlq.jsonl"
+        proc = _serve_run_proc(served, "--max-wait", "60", "--dlq", str(dlq))
+        try:
+            _await_banner(proc)
+            proc.stdin.write(json.dumps(event).encode() + b"\n{not json\n")
+            proc.stdin.flush()
+            deadline = time.monotonic() + 60
+            while not (dlq.exists() and dlq.read_bytes().endswith(b"\n")):
+                assert time.monotonic() < deadline, "malformed line not diverted"
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 130, err.decode()
+        records = [json.loads(s) for s in out.splitlines()]
+        assert [r.get("type") for r in records] == ["error"]
+        assert (records[0]["line"], records[0]["fault"]) == (2, "malformed")
 
     def test_snapshot_on_stream_end(self, served, monkeypatch, tmp_path, capsys):
         events = self._events(served["fleet"], n=50)

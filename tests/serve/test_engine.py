@@ -184,6 +184,35 @@ class TestRequestPath:
         assert len(engine.poll()) == 5
         assert engine.poll() == []
 
+    def test_poll_flushes_once_summed_wait_pays_for_a_call(
+        self, serve_trace, predictor
+    ):
+        clock = FakeClock()
+        engine = ScoringEngine(
+            predictor,
+            batch_policy=BatchPolicy(max_batch_size=1000, max_wait_seconds=1.0),
+            clock=clock,
+        )
+        score_rows = engine._score_rows
+
+        def quarter_second_call(X, ages):
+            clock.advance(0.25)
+            return score_rows(X, ages)
+
+        engine._score_rows = quarter_second_call
+        records = iter_drive_days(serve_trace.records)
+        engine.submit(next(records))
+        clock.advance(1.0)
+        assert len(engine.poll()) == 1  # the wait bound; times one call
+        assert engine.batcher.call_cost == 0.25
+        engine.submit(next(records))
+        engine.submit(next(records))
+        clock.advance(0.0625)  # summed wait 0.125
+        assert engine.poll() == []
+        assert engine.batcher.next_flush_in() == 0.0625
+        clock.advance(0.0625)  # summed wait 0.25: one call's cost
+        assert len(engine.poll()) == 2
+
 
 class TestSchemaGate:
     def test_unfitted_predictor_rejected(self):
@@ -203,7 +232,7 @@ class TestSchemaGate:
 
 class TestInstrumentation:
     def test_spans_and_metrics_emitted(self, serve_trace, predictor):
-        tracer = obs_tracing.Tracer()
+        tracer = obs_tracing.Tracer(keep_spans=True)
         registry = obs_metrics.MetricsRegistry()
         with obs_tracing.activate(tracer), obs_metrics.activate(registry):
             ScoringEngine(predictor).replay(serve_trace.records, chunk_rows=512)
@@ -215,6 +244,38 @@ class TestInstrumentation:
         assert "repro_serve_batches_total" in rendered
         assert "repro_serve_batch_size" in rendered
         assert "repro_serve_store_drives" in rendered
+
+
+class TestTracerMemory:
+    def test_replay_events_peak_is_flat_in_stream_length(self, serve_trace, predictor):
+        # One scoring call per event (batch size 1) under the tracer a
+        # command activates: a kept span per call would grow the peak by
+        # ~440 B an event, about 1.2 MB at 4N here.
+        import tracemalloc
+
+        events = list(iter_drive_days(serve_trace.records))
+        peaks = {}
+        for n in (500, 2000):
+            store = FeatureStore()
+            engine = ScoringEngine(
+                predictor,
+                store=store,
+                guard=AdmissionGuard(store),
+                batch_policy=BatchPolicy(max_batch_size=1),
+            )
+            tracer = obs_tracing.Tracer()
+            with obs_tracing.activate(tracer):
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    result = engine.replay_events(events[:n])
+                    peaks[n] = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+            assert result.n_batches == n
+            assert tracer.stage_summary()["repro.serve.score_batch"]["calls"] == n
+            assert tracer.finished() == []
+        assert max(peaks.values()) < 640 * 1024, peaks
 
 
 class TestCrashRecovery:
