@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
@@ -111,8 +110,6 @@ def _cmd_serve_publish(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_replay(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from ..data import iter_drive_days, load_dataset_npz
     from ..resilience import chaos_telemetry_events, telemetry_spec_from_env
     from ..serve import (
@@ -120,7 +117,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         DeadLetterQueue,
         EventJournal,
         FeatureStore,
-        ReplayResult,
         ScoringEngine,
         ServeBreaker,
         latest_snapshot,
@@ -149,7 +145,9 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             store = FeatureStore.restore(resolved)
         else:
             store = FeatureStore()
-        start_row = store.events_total
+        # The stream position the snapshot records; snapshots that carry
+        # none resume at the accepted-row count.
+        start_row = store.events_total if store.rows_seen is None else store.rows_seen
         guard = (
             AdmissionGuard(
                 store, dlq=dlq, journal=journal, breaker=ServeBreaker()
@@ -166,7 +164,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             guard=guard,
             telemetry=run.telemetry,
         )
-        scored_events = None
         if telem_spec:
             # Chaos drill: perturb the event stream (pure function of
             # the chaos seed) and route every arrival through the
@@ -187,17 +184,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
                 telem_spec,
                 chaos_seed,
             )
-            t0 = time.perf_counter()
-            scored_events = list(engine.score_stream(events))
-            stats = guard.stats
-            result = ReplayResult(
-                probability=np.asarray([ev.probability for ev in scored_events]),
-                n_events=stats.admitted,
-                n_batches=engine.batches_total,
-                elapsed_seconds=time.perf_counter() - t0,
-                n_diverted=stats.dead_lettered,
-                n_duplicates=stats.duplicates_dropped,
-            )
+            result = engine.replay_events(events)
             if args.snapshot:
                 store.snapshot(args.snapshot)
         else:
@@ -219,7 +206,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         )
         records = (
             load_dataset_npz(records_path)
-            if check_parity or (args.out and scored_events is None)
+            if check_parity or (args.out and result.scored is None)
             else None
         )
         diverged = 0
@@ -234,8 +221,8 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             )[start_row:]
             diverged = _diverged(result.probability, offline)
         if args.out:
-            if scored_events is not None:
-                rows = ((e.drive_id, e.age_days, e.probability) for e in scored_events)
+            if result.scored is not None:
+                rows = ((e.drive_id, e.age_days, e.probability) for e in result.scored)
             else:
                 # A guarded replay may have diverted or deduped rows, so
                 # probabilities cover its accepted events only.
@@ -907,7 +894,7 @@ def register(sub: argparse._SubParsersAction) -> None:
         metavar="EVENTS",
         help="per-shard checkpoint cadence in accepted events (default: "
         "a single checkpoint at stream end); a killed shard restores "
-        "its newest checkpoint and replays its journal tail",
+        "its newest checkpoint and resumes the trace there",
     )
     p_shd.add_argument(
         "--checkpoint-keep",

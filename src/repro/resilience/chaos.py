@@ -82,7 +82,7 @@ TELEMETRY_MODES = ("reorder", "duplicate", "late", "garble")
 #: :mod:`repro.serve.shard`).  ``shard_kill`` SIGKILLs a scorer shard
 #: mid-replay on its first attempt — the planned victim is a pure
 #: function of ``(seed, shard_index)``, and the shard supervisor's
-#: retry must heal it via checkpoint restore + journal-tail replay.
+#: retry must heal it by restoring its checkpoint and resuming there.
 #: Kept in its own domain tuple so neither the worker injection site
 #: (:func:`maybe_inject`) nor the telemetry site picks it up.
 SHARD_MODES = ("shard_kill",)

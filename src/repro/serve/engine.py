@@ -24,6 +24,7 @@ import json
 import time
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -39,7 +40,7 @@ from ..obs.durable import atomic_write, now
 from ..obs.slo import SloSpec, evaluate_slos
 from .batching import BatchPolicy, MicroBatcher, QueuePolicy
 from .feature_store import FeatureStore, SchemaMismatchError
-from .guard import DUPLICATE, AdmissionGuard
+from .guard import AdmissionGuard
 from .health import STATUS_SCHEMA_VERSION, HealthState, StalenessPolicy
 
 __all__ = ["ScoredEvent", "ReplayResult", "ScoringEngine", "TelemetryConfig"]
@@ -111,8 +112,11 @@ class ReplayResult:
     guarded replays ``accepted_index`` maps each probability back to its
     source row: position ``i`` of ``probability`` scored row
     ``accepted_index[i]`` of the replayed stream (0 = the first
-    post-``start_row`` row).  ``None`` on unguarded replays, where
-    probabilities align 1:1 with the stream.
+    post-``start_row`` row; the chunk's first row for
+    :meth:`ScoringEngine.absorb`).  ``None`` on unguarded replays, where
+    probabilities align 1:1 with the stream.  An event-wise replay
+    (:meth:`ScoringEngine.replay_events`) has no ``accepted_index`` and
+    keeps its :class:`ScoredEvent` records in ``scored``.
     """
 
     probability: np.ndarray
@@ -122,6 +126,7 @@ class ReplayResult:
     n_diverted: int = 0
     n_duplicates: int = 0
     accepted_index: np.ndarray | None = None
+    scored: list[ScoredEvent] | None = None
 
     @property
     def events_per_second(self) -> float:
@@ -316,15 +321,26 @@ class ScoringEngine:
             )
         return payload
 
-    # ------------------------------------------------------------------ ingest
-    def ingest(self, record: Mapping[str, Any]) -> np.ndarray:
-        """Fold one event into the store without requesting a score."""
-        row = self.store.ingest(record)
+    def _count(self, seen: int, accepted: int, day: int) -> None:
+        """Book one admission step: advance the fleet watermark to
+        ``day``, count ``accepted`` scoring requests, and observe ``seen``
+        arrivals (diverted and duplicate ones included)."""
+        if day > self._fleet_day:
+            self._fleet_day = day
+        self.requests_total += accepted
         metrics.inc(
             "repro_serve_events_total",
+            accepted,
             help="Telemetry events absorbed by the serving feature store",
         )
-        return row
+        metrics.inc(
+            "repro_serve_requests_total",
+            accepted,
+            help="Scoring requests accepted by the engine",
+        )
+        self._observe_events(
+            seen, watermark=self._fleet_day if self._fleet_day >= 0 else None
+        )
 
     # ------------------------------------------------------------------ request loop
     def submit(self, record: Mapping[str, Any]) -> list[ScoredEvent]:
@@ -366,27 +382,14 @@ class ScoringEngine:
                 return pre
             row = outcome.row
             drive_id, age = outcome.drive_id, outcome.age_days
-            metrics.inc(
-                "repro_serve_events_total",
-                help="Telemetry events absorbed by the serving feature store",
-            )
         else:
-            row = self.ingest(record)
+            row = self.store.ingest(record)
             drive_id = int(record["drive_id"])
             age = int(record["age_days"])
-        if cal > self._fleet_day:
-            self._fleet_day = cal
-        self._observe_events(
-            1, watermark=self._fleet_day if self._fleet_day >= 0 else None
-        )
+        self._count(1, 1, cal)
         # Stamped with the fleet watermark at admission: staleness is a
         # function of the arrival order, never of the batch boundaries.
         request = (drive_id, age, cal, row, self._fleet_day)
-        self.requests_total += 1
-        metrics.inc(
-            "repro_serve_requests_total",
-            help="Scoring requests accepted by the engine",
-        )
         batch = self.batcher.add(request)
         metrics.set_gauge(
             "repro_serve_queue_depth",
@@ -469,15 +472,18 @@ class ScoringEngine:
         lag = max(0, watermark - cal)
         return lag, lag > self.staleness.max_lag_days
 
-    def _score_batch(self, batch: list[tuple]) -> list[ScoredEvent]:
+    def _score(
+        self, X: np.ndarray, ages: np.ndarray, ids: np.ndarray, cals: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        """The one scoring step of every path: predict through
+        :meth:`_score_rows` under the ``repro.serve.score_batch`` span,
+        count the batch, and feed the scored-event tap.  Returns the
+        probabilities and the call's seconds."""
+        m = X.shape[0]
         t0 = self.clock()
-        with tracing.span("repro.serve.score_batch", rows_in=len(batch)) as sp:
-            X = np.stack([req[3] for req in batch])
-            ages = np.asarray([req[1] for req in batch], dtype=np.int64)
+        with tracing.span("repro.serve.score_batch", rows_in=m, rows_out=m):
             probs = self._score_rows(X, ages)
-            sp.set(rows_out=len(batch))
         seconds = self.clock() - t0
-        self.batcher.record_cost(seconds)
         self.batches_total += 1
         metrics.inc(
             "repro_serve_batches_total",
@@ -485,7 +491,7 @@ class ScoringEngine:
         )
         metrics.observe(
             "repro_serve_batch_size",
-            float(len(batch)),
+            float(m),
             help="Scoring requests per flushed micro-batch",
         )
         metrics.observe(
@@ -494,12 +500,17 @@ class ScoringEngine:
             help="Wall time of one vectorized scoring call",
         )
         if self.on_scored is not None:
-            self.on_scored(
-                np.asarray([req[0] for req in batch], dtype=np.int64),
-                ages,
-                np.asarray([req[2] for req in batch], dtype=np.int64),
-                probs,
-            )
+            self.on_scored(ids, ages, cals, probs)
+        return probs, seconds
+
+    def _score_batch(self, batch: list[tuple]) -> list[ScoredEvent]:
+        probs, seconds = self._score(
+            np.stack([req[3] for req in batch]),
+            np.asarray([req[1] for req in batch], dtype=np.int64),
+            np.asarray([req[0] for req in batch], dtype=np.int64),
+            np.asarray([req[2] for req in batch], dtype=np.int64),
+        )
+        self.batcher.record_cost(seconds)
         out: list[ScoredEvent] = []
         for (d, a, c, _, watermark), p in zip(batch, probs):
             lag, stale = self._lag(c, watermark)
@@ -528,15 +539,60 @@ class ScoringEngine:
         return out
 
     # ------------------------------------------------------------------ replay
+    def absorb(self, chunk: Mapping[str, np.ndarray]) -> ReplayResult:
+        """One step of a chunked replay: admit a column chunk, score its
+        accepted rows, and count them; returns the chunk's replay result.
+
+        The guard admits the chunk (:meth:`AdmissionGuard.admit_columns`)
+        or, unguarded, the store ingests it whole; the accepted rows are
+        scored in one call through the scoring step the micro-batch
+        flush also uses, and the watermark, request counters and
+        telemetry advance.  :meth:`replay` and every shard task of the
+        sharded plane run on this step.  The feature matrix is not
+        returned, so a caller's loop never keeps one chunk's matrix
+        alive while the next one is built.
+        """
+        t0 = self.clock()
+        ids = np.asarray(chunk["drive_id"], dtype=np.int64)
+        n = ids.shape[0]
+        if self.guard is not None:
+            adm = self.guard.admit_columns(chunk)
+            X, ages, cals = adm.features, adm.ages, adm.calendar_days
+            index = adm.accepted_index
+            ids = ids[index]
+            n_diverted, n_duplicates = adm.n_diverted, adm.n_duplicates
+        else:
+            X = self.store.ingest_columns(chunk)
+            ages = np.asarray(chunk["age_days"], dtype=np.int64)
+            cals = chunk["calendar_day"] if "calendar_day" in chunk else np.full(n, -1)
+            cals = np.asarray(cals, dtype=np.int64)
+            index = None
+            n_diverted = n_duplicates = 0
+        m = X.shape[0]
+        probs = self._score(X, ages, ids, cals)[0] if m else np.empty(0)
+        self._count(n, m, int(cals.max()) if cals.size else -1)
+        return ReplayResult(
+            probability=probs,
+            n_events=m,
+            n_batches=int(m > 0),
+            elapsed_seconds=self.clock() - t0,
+            n_diverted=n_diverted,
+            n_duplicates=n_duplicates,
+            accepted_index=index,
+        )
+
     def _write_snapshot(
-        self, path: str | Path, keep: int | None
+        self, path: str | Path, keep: int | None, rows_seen: int
     ) -> Path:
-        """One snapshot write: in-place without ``keep``, rotated with."""
+        """One snapshot write: in-place without ``keep``, rotated with.
+        It records ``rows_seen``, the stream rows consumed so far, which
+        is where a restored replay resumes."""
+        write = partial(self.store.snapshot, rows_seen=rows_seen)
         if keep is None:
-            return self.store.snapshot(path)
+            return write(path)
         from .snapshots import write_rotated
 
-        return write_rotated(Path(path), self.store.snapshot, keep=keep)
+        return write_rotated(Path(path), write, keep=keep)
 
     def replay(
         self,
@@ -563,9 +619,11 @@ class ScoringEngine:
         stream rows they came from.
 
         ``start_row`` skips that many leading rows *without ingesting
-        them* — for resuming a killed replay from a restored store whose
-        ``events_total`` says how far it got (the skipped rows are
-        already folded into the restored state).
+        them* — for resuming a killed replay from a restored store (the
+        skipped rows are already folded into the restored state).  The
+        snapshots a replay writes record the stream rows it had consumed,
+        diverted and duplicate rows included
+        (:attr:`FeatureStore.rows_seen`), which is where it resumes.
 
         ``snapshot_every``/``snapshot_path`` persist the store every N
         events (crash-safe serving: a killed replay restores the last
@@ -597,81 +655,27 @@ class ScoringEngine:
                         continue
                     chunk = {k: v[to_skip:] for k, v in chunk.items()}
                     to_skip = 0
-                if self.guard is not None:
-                    adm = self.guard.admit_columns(chunk)
-                    X, ages = adm.features, adm.ages
-                    n_diverted += adm.n_diverted
-                    n_duplicates += adm.n_duplicates
-                    index_parts.append(pos + adm.accepted_index)
-                    ids = np.asarray(
-                        chunk["drive_id"], dtype=np.int64
-                    )[adm.accepted_index]
-                    cals = adm.calendar_days
-                    if adm.calendar_days.size:
-                        top = int(adm.calendar_days.max())
-                        if top > self._fleet_day:
-                            self._fleet_day = top
-                else:
-                    X = self.store.ingest_columns(chunk)
-                    ages = np.asarray(chunk["age_days"], dtype=np.int64)
-                    ids = np.asarray(chunk["drive_id"], dtype=np.int64)
-                    cals = chunk.get("calendar_day")
-                    if cals is None:
-                        cals = np.full(len(ids), -1, dtype=np.int64)
-                    else:
-                        cals = np.asarray(cals, dtype=np.int64)
-                    if len(cals):
-                        top = int(np.max(cals))
-                        if top > self._fleet_day:
-                            self._fleet_day = top
-                m = X.shape[0]
-                if m:
-                    with tracing.span(
-                        "repro.serve.score_batch", rows_in=m, rows_out=m
-                    ):
-                        probs = self._score_rows(X, ages)
-                    self.batches_total += 1
-                    parts.append(probs)
-                    if self.on_scored is not None:
-                        self.on_scored(ids, ages, cals, probs)
-                    metrics.inc(
-                        "repro_serve_batches_total",
-                        help="Micro-batches scored by the engine",
-                    )
-                    metrics.observe(
-                        "repro_serve_batch_size",
-                        float(m),
-                        help="Scoring requests per flushed micro-batch",
-                    )
-                metrics.inc(
-                    "repro_serve_events_total",
-                    m,
-                    help="Telemetry events absorbed by the serving feature store",
-                )
-                metrics.inc(
-                    "repro_serve_requests_total",
-                    m,
-                    help="Scoring requests accepted by the engine",
-                )
+                step = self.absorb(chunk)
+                parts.append(step.probability)
+                if step.accepted_index is not None:
+                    index_parts.append(pos + step.accepted_index)
+                n_diverted += step.n_diverted
+                n_duplicates += step.n_duplicates
                 pos += len(chunk["drive_id"])
-                n_events += m
-                self._observe_events(
-                    len(chunk["drive_id"]),
-                    watermark=self._fleet_day if self._fleet_day >= 0 else None,
-                )
-                since_snapshot += m
+                n_events += step.n_events
+                since_snapshot += step.n_events
                 if (
                     snapshot_every is not None
                     and snapshot_path is not None
                     and since_snapshot >= snapshot_every
                 ):
-                    self._write_snapshot(snapshot_path, snapshot_keep)
+                    self._write_snapshot(snapshot_path, snapshot_keep, start_row + pos)
                     since_snapshot = 0
                 if progress is not None:
                     progress(n_events)
             sp.set(rows_in=n_events, rows_out=n_events)
         if snapshot_every is not None and snapshot_path is not None:
-            self._write_snapshot(snapshot_path, snapshot_keep)
+            self._write_snapshot(snapshot_path, snapshot_keep, start_row + pos)
         if self.telemetry is not None and self.telemetry.status_path is not None:
             self.heartbeat()
         elapsed = self.clock() - t0
@@ -705,30 +709,28 @@ class ScoringEngine:
         not ordered column chunks — chiefly chaos-perturbed telemetry
         streams (:func:`repro.resilience.chaos_telemetry_events`), where
         reordered/duplicated/garbled arrivals must route through the
-        admission guard one at a time.  Scores cover accepted events in
-        admission order; diverted and duplicate counts land on the
-        result.
+        admission guard one at a time.  It is :meth:`score_stream` plus
+        its result: scores cover accepted events in admission order, the
+        scored events themselves ride along in ``scored``, and diverted
+        and duplicate counts land on the result.
         """
         t0 = self.clock()
         before_requests = self.requests_total
         batches_before = self.batches_total
-        scored: list[ScoredEvent] = []
         stats = self.guard.stats if self.guard is not None else None
         div0 = stats.dead_lettered if stats is not None else 0
         dup0 = stats.duplicates_dropped if stats is not None else 0
         with tracing.span("repro.serve.replay_events") as sp:
-            for record in events:
-                scored.extend(self.submit(record))
-            scored.extend(self.drain())
+            scored = list(self.score_stream(events))
             sp.set(rows_in=self.requests_total - before_requests)
-        probs = np.asarray([ev.probability for ev in scored], dtype=np.float64)
         return ReplayResult(
-            probability=probs,
+            probability=np.asarray([ev.probability for ev in scored], dtype=np.float64),
             n_events=self.requests_total - before_requests,
             n_batches=self.batches_total - batches_before,
             elapsed_seconds=self.clock() - t0,
             n_diverted=(stats.dead_lettered - div0) if stats else 0,
             n_duplicates=(stats.duplicates_dropped - dup0) if stats else 0,
+            scored=scored,
         )
 
     # ------------------------------------------------------------------ misc

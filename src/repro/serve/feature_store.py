@@ -112,6 +112,12 @@ class FeatureStore:
         #: idempotent re-delivery after a restart still classifies as
         #: ``duplicate``, not ``conflict``.
         self.boundary_digests: dict[int, str] = {}
+        #: Stream rows a replay had consumed (diverted and duplicate rows
+        #: included) when it wrote the snapshot this store was restored
+        #: from; ``None`` unless that snapshot records it.  A guarded
+        #: replay resumes there, not at ``events_total``, which counts
+        #: accepted rows only.
+        self.rows_seen: int | None = None
 
     # ------------------------------------------------------------------ state
     def __len__(self) -> int:
@@ -338,15 +344,20 @@ class FeatureStore:
                 "boundary_digest": digests,
             }
 
-    def snapshot(self, path: str | Path) -> Path:
+    def snapshot(self, path: str | Path, rows_seen: int | None = None) -> Path:
         """Atomically persist the store state; returns the path.
 
         The snapshot is deterministic: drives are sorted by id and the
         NPZ writer pins zip timestamps, so equal states produce equal
         bytes (the chaos drill compares snapshot digests directly).
+        ``rows_seen`` records a replay's stream position next to the
+        state (see :attr:`rows_seen`).
         """
         path = Path(path)
-        atomic_save_npz(path, **self.state_arrays())
+        arrays = self.state_arrays()
+        if rows_seen is not None:
+            arrays["rows_seen"] = np.array([rows_seen], dtype=np.int64)
+        atomic_save_npz(path, **arrays)
         return path
 
     @classmethod
@@ -387,6 +398,10 @@ class FeatureStore:
                 for d, s in zip(ids, arrays["boundary_digest"])
                 if s
             }
+        # Optional too: snapshots that do not record a stream position
+        # resume at events_total.
+        if "rows_seen" in arrays:
+            store.rows_seen = int(arrays["rows_seen"][0])
         return store
 
     @classmethod

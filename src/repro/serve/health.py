@@ -317,10 +317,7 @@ def render_sharded_status(rollup: Mapping[str, Any]) -> str:
         detail = shard.get("shard") or {}
         extra = ""
         if detail.get("restored"):
-            extra = (
-                f", restored (+{detail.get('tail_replayed', 0)} tail "
-                "event(s))"
-            )
+            extra = f", restored at row {detail.get('resumed_at', 0)}"
         lines.append(
             f"  {marker} {name}: {shard.get('health', '?')}, "
             f"{shard.get('events_seen', 0)} seen, "

@@ -29,17 +29,17 @@ Three invariants make the plane production-grade:
    circuit breaker).  A killed shard (``REPRO_CHAOS=shard_kill=…``
    SIGKILLs the planned victim mid-stream) is healed on retry by
    restoring its newest checkpoint — one atomic NPZ holding the feature
-   store *and* the score prefix, a consistent cut — then replaying its
-   accepted-event journal tail from the checkpoint watermark, then
-   resuming the trace.  Output is byte-identical to a never-crashed run.
+   store *and* the score prefix, a consistent cut — cutting its journal
+   and DLQ back to that cut, and resuming the trace at the checkpoint's
+   stream position.  Output is byte-identical to a never-crashed run.
 3. **Reshard identity.**  An N→M reshard merges the old shards'
    journals back into canonical ``(drive_id, age_days)`` order — every
    drive lived on exactly one shard, so per-drive order is preserved —
    and replays through the new partition map; byte-identical again.
 
-Backpressure is cross-shard by construction: shards share no queues, so
-a full shard sheds to *its own* DLQ (``QueuePolicy(on_full="shed")``)
-and can never block a sibling.
+Each shard task drives its engine with the same chunk step
+(:meth:`~repro.serve.engine.ScoringEngine.absorb`) a serial replay
+runs, so scores, counters and telemetry are booked one way everywhere.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .dlq import DeadLetterQueue, EventJournal
 from .engine import ScoringEngine, TelemetryConfig
 from .feature_store import FeatureStore, FeatureStoreError
 from .guard import AdmissionGuard
-from .health import STATUS_SCHEMA_VERSION, ServeBreaker, load_status
+from .health import ServeBreaker, load_status
 from .partition import PARTITION_VERSION, PartitionMap
 from .snapshots import latest_snapshot, write_rotated
 
@@ -155,10 +155,11 @@ class ShardCheckpoint:
     - the store's :meth:`~repro.serve.feature_store.FeatureStore.state_arrays`;
     - the probability prefix and the global source rows it scored;
     - the shard's stream position (``rows_seen``, counting diverted
-      rows) and the journal/DLQ line counts at the cut — restore
-      replays only journal lines past ``journal_lines``;
+      and duplicate rows) and the journal/DLQ line counts at the cut —
+      a restore cuts both logs back to them and resumes the trace at
+      ``rows_seen``;
     - ``clean``: whether the shard had seen zero diverted/duplicate
-      events, which gates the journal-tail fast path.
+      events (kept for the layout; a restore does not read it).
     """
 
     path: Path
@@ -304,15 +305,15 @@ def run_shard_task(
     Streams the full trace in stored ``(drive_id, age_days)`` order,
     keeps the rows whose drive hashes to this shard (per-drive order is
     preserved — drive runs are contiguous in the sorted stream, so the
-    filtered sub-stream is still grouped and age-sorted), admits them
-    through the shard's guard, and scores through the shard's engine.
+    filtered sub-stream is still grouped and age-sorted), and feeds them
+    to the shard's guarded engine one chunk step
+    (:meth:`ScoringEngine.absorb`) at a time.
 
     If a checkpoint exists (a previous attempt was killed), the shard
-    **fails over**: restore the newest checkpoint, roll the journal/DLQ
-    back to the checkpoint cut, re-admit the journal tail recorded after
-    the cut (extending the score prefix through the same kernels), and
-    resume the trace at the restored stream position.  Scores are
-    byte-identical to a never-crashed run in all cases.
+    **fails over**: restore the newest checkpoint, cut the journal/DLQ
+    back to the checkpoint cut, and resume the trace at the restored
+    stream position, re-scoring only the rows since the cut.  Scores
+    are byte-identical to a never-crashed run in all cases.
     """
     t0 = time.perf_counter()
     n_shards = int(plan["n_shards"])
@@ -334,19 +335,17 @@ def run_shard_task(
             "restore across a reshard (use a fresh plane directory)"
         )
     # Opening the logs drops a torn tail (a kill mid append) before
-    # anything below counts, reads or cuts them.
+    # anything below counts or cuts them.
     dlq = DeadLetterQueue(paths.dlq)
     journal = EventJournal(paths.journal)
-    tail: list[dict] = []
     if ckpt is None:
         # A first attempt killed before any checkpoint may have left
-        # journal/DLQ lines; the retry starts from scratch, so roll both
+        # journal/DLQ lines; the retry starts from scratch, so cut both
         # back to empty or the re-run would record every event twice.
-        keep_journal = keep_dlq = 0
         store = FeatureStore()
         prob_parts: list[np.ndarray] = []
         idx_parts: list[np.ndarray] = []
-        resume_at = 0
+        resume_at = keep_journal = keep_dlq = 0
     else:
         try:
             store = FeatureStore.from_arrays(
@@ -357,23 +356,8 @@ def run_shard_task(
         prob_parts = [np.asarray(ckpt.probability, dtype=np.float64)]
         idx_parts = [np.asarray(ckpt.accepted_global, dtype=np.int64)]
         resume_at = ckpt.rows_seen
-        if (
-            ckpt.clean
-            and dlq.appended == ckpt.dlq_lines
-            and journal.appended >= ckpt.journal_lines
-        ):
-            # Journal-tail fast path: every stream row past the cut was
-            # accepted and journaled, so the tail *is* the sub-stream.
-            if journal.appended > ckpt.journal_lines:
-                tail = [
-                    body["event"]
-                    for body in EventJournal.read(paths.journal)[
-                        ckpt.journal_lines :
-                    ]
-                ]
-        # Roll both files back to the cut; tail events re-append (with
-        # identical seq numbers) as they re-admit below, and in the
-        # sick-tail fallback the trace re-supplies them.
+        # Events past the cut re-append (with identical seq numbers) as
+        # the trace re-supplies them below.
         keep_journal, keep_dlq = ckpt.journal_lines, ckpt.dlq_lines
     try:
         journal.truncate(keep_journal)
@@ -389,39 +373,6 @@ def run_shard_task(
         workers=1,
         telemetry=TelemetryConfig(status_path=paths.status),
     )
-
-    # Re-admit the journal tail: the store is exactly at the checkpoint
-    # cut, so each event accepts and scores through the same per-row
-    # kernels the chunk path uses — bit-identical by row independence.
-    n_tail = len(tail)
-    tail_ids = np.empty(n_tail, dtype=np.int64)
-    tail_glob = np.full(n_tail, -1, dtype=np.int64)
-    if n_tail:
-        tail_probs = np.empty(n_tail, dtype=np.float64)
-        for j, event in enumerate(tail):
-            out = guard.admit(event)
-            if not out.accepted:
-                raise ShardError(
-                    f"shard {shard_id}: journal tail event {j} "
-                    f"(drive {out.drive_id}, age {out.age_days}) did not "
-                    f"re-admit ({out.status}: {out.reason}) — checkpoint "
-                    "and journal disagree"
-                )
-            tail_ids[j] = out.drive_id
-            tail_probs[j] = engine._score_rows(
-                out.row[None, :], np.asarray([out.age_days], dtype=np.int64)
-            )[0]
-            engine.requests_total += 1
-            cal = event.get("calendar_day")
-            if cal is not None and int(cal) > engine._fleet_day:
-                engine._fleet_day = int(cal)
-            engine._observe_events(
-                1, watermark=engine._fleet_day if engine._fleet_day >= 0 else None
-            )
-        prob_parts.append(tail_probs)
-        idx_parts.append(tail_glob)  # filled in during the skip phase
-    skip_until = resume_at + n_tail
-
     kill_at = _maybe_kill_point(paths, shard_id, plan)
 
     # ---------------------------------------------------------- stream
@@ -429,8 +380,6 @@ def run_shard_task(
         source, chunk_rows=int(plan.get("chunk_rows") or 4096)
     )
     n_batches = 0
-    n_diverted = 0
-    n_duplicates = 0
     accepted_since_ckpt = 0
     base_row = 0  # global row of the current chunk's first row
     sub_pos = 0  # sub-stream rows seen so far (including skipped)
@@ -477,45 +426,18 @@ def run_shard_task(
             g = rows[mask]
         lo, hi = sub_pos, sub_pos + length
         sub_pos = hi
-        # Assign global rows to the journal-tail events this sub-chunk
-        # covers (positions [resume_at, skip_until) of the sub-stream),
-        # verifying the trace agrees with what the journal recorded.
-        if n_tail:
-            a, b = max(lo, resume_at), min(hi, skip_until)
-            if a < b:
-                tail_glob[a - resume_at : b - resume_at] = g[a - lo : b - lo]
-                got = np.asarray(sub["drive_id"][a - lo : b - lo], dtype=np.int64)
-                if not np.array_equal(got, tail_ids[a - resume_at : b - resume_at]):
-                    raise ShardError(
-                        f"shard {shard_id}: journal tail does not match the "
-                        "trace at the checkpoint watermark — refusing to "
-                        "merge misattributed scores"
-                    )
-        if hi <= skip_until:
+        if hi <= resume_at:
             continue
-        if lo < skip_until:
-            cut = skip_until - lo
+        if lo < resume_at:
+            cut = resume_at - lo
             sub = {k: v[cut:] for k, v in sub.items()}
             g = g[cut:]
-        adm = guard.admit_columns(sub)
-        n_diverted += adm.n_diverted
-        n_duplicates += adm.n_duplicates
-        if adm.calendar_days.size:
-            top = int(adm.calendar_days.max())
-            if top > engine._fleet_day:
-                engine._fleet_day = top
-        m = adm.features.shape[0]
-        if m:
-            prob_parts.append(engine._score_rows(adm.features, adm.ages))
-            idx_parts.append(g[adm.accepted_index])
+        step = engine.absorb(sub)
+        if step.n_events:
+            prob_parts.append(step.probability)
+            idx_parts.append(g[step.accepted_index])
             n_batches += 1
-            accepted_since_ckpt += m
-            engine.requests_total += m
-            engine.batches_total += 1
-        engine._observe_events(
-            len(g),
-            watermark=engine._fleet_day if engine._fleet_day >= 0 else None,
-        )
+            accepted_since_ckpt += step.n_events
         if (
             checkpoint_every is not None
             and accepted_since_ckpt >= checkpoint_every
@@ -530,7 +452,7 @@ def run_shard_task(
             os.kill(os.getpid(), signal.SIGKILL)
 
     # Final checkpoint: makes a later restore (or resumed plane) read
-    # one NPZ + an empty journal tail, however long the shard lived.
+    # one NPZ, however long the shard lived.
     write_checkpoint()
 
     probability = (
@@ -541,24 +463,25 @@ def run_shard_task(
         if idx_parts
         else np.empty(0, dtype=np.int64)
     )
+    n_accepted = int(probability.shape[0])
     status = engine.status()
     status["shard"] = {
         "shard_id": shard_id,
         "n_shards": n_shards,
         "partition_version": PARTITION_VERSION,
         "rows_seen": sub_pos,
-        "accepted": int(probability.shape[0]),
+        "accepted": n_accepted,
         "restored": ckpt is not None,
-        "tail_replayed": n_tail,
+        "resumed_at": resume_at,
     }
     with atomic_write(paths.status, "w") as fh:
         fh.write(json.dumps(status, indent=2, sort_keys=True) + "\n")
     eventlog.emit(
         "serve.shard.done",
-        f"shard {shard_id}/{n_shards} scored {probability.shape[0]} events",
+        f"shard {shard_id}/{n_shards} scored {n_accepted} events",
         shard_id=shard_id,
         restored=ckpt is not None,
-        tail_replayed=n_tail,
+        resumed_at=resume_at,
     )
     return {
         "shard_id": shard_id,
@@ -566,12 +489,14 @@ def run_shard_task(
         "accepted_global": accepted_global,
         "rows_seen": sub_pos,
         "n_batches": n_batches,
-        #: Cumulative across attempts: the DLQ file survives failover.
+        #: Cumulative across attempts: the DLQ file survives failover,
+        #: and every sub-stream row was accepted, dead-lettered or
+        #: dropped as a duplicate.
         "n_diverted": dlq.appended,
-        "n_duplicates": n_duplicates,
+        "n_duplicates": sub_pos - n_accepted - dlq.appended,
         "n_drives": store.n_drives,
         "restored": ckpt is not None,
-        "tail_replayed": n_tail,
+        "resumed_at": resume_at,
         "elapsed_seconds": time.perf_counter() - t0,
     }
 
@@ -677,11 +602,24 @@ def run_sharded_replay(
     ``workers`` bounds the concurrently *running* shards; any value
     produces the same bytes.  With ``REPRO_CHAOS=shard_kill=…`` set,
     planned victims SIGKILL themselves mid-stream and are healed by the
-    supervisor's retry via checkpoint + journal-tail failover — this
-    needs ``workers >= 2`` (an in-process shard never injects the kill).
+    supervisor's retry via checkpoint failover — this needs
+    ``workers >= 2`` (an in-process shard never injects the kill).
+
+    ``plane`` must not hold shard state yet: a shard task treats the
+    checkpoints it finds as its own killed attempt's, so a previous
+    run's would be "restored" instead of replayed.  The check runs here,
+    once, before any task starts, so a retried shard still finds its
+    own checkpoints.
     """
     if n_shards < 1:
         raise ShardError("n_shards must be >= 1")
+    plane = Path(plane)
+    used = sorted(p.name for p in plane.glob("shard-*"))
+    if used:
+        raise ShardError(
+            f"plane {plane} already holds shard state ({', '.join(used)}) "
+            "from an earlier run — use a fresh plane directory"
+        )
     from ..resilience.supervisor import (
         SupervisorPolicy,
         force_fail,
@@ -689,7 +627,6 @@ def run_sharded_replay(
     )
 
     t0 = time.perf_counter()
-    plane = Path(plane)
     plane.mkdir(parents=True, exist_ok=True)
     n_rows = _source_rows(source)
     _write_plane_manifest(plane, n_shards, n_rows, chunk_rows)

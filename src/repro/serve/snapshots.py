@@ -15,10 +15,10 @@ writing generation ``g`` still leaves ``g-1`` restorable:
   failover restores from.
 
 Rotation is also the shard plane's *compaction* story: a shard
-checkpoint records the journal line count at write time, so restoring
-from the newest generation replays only the journal tail written after
-it — restore cost is bounded by the checkpoint cadence, not by the
-shard's lifetime.
+checkpoint records its stream position at write time, so restoring
+from the newest generation re-scores only the rows after it — the
+scoring a restore redoes is bounded by the checkpoint cadence, not by
+the shard's lifetime.
 """
 
 from __future__ import annotations

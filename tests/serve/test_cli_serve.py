@@ -1238,6 +1238,25 @@ class TestShardCLI:
         assert code == 0
         assert "bit-for-bit" in capsys.readouterr().out
 
+    def test_second_shard_run_into_a_used_plane_exits_two(
+        self, served, tmp_path, capsys
+    ):
+        # A previous run's final checkpoints would pass for a killed
+        # attempt's: the rerun would "restore" every shard and score
+        # nothing.  It is refused, and the plane is left as it was.
+        plane = tmp_path / "plane"
+        command = [
+            "serve", "shard", "--trace", str(served["fleet"]),
+            "--model", str(served["model"]), "--shards", "2",
+            "--plane", str(plane), "--no-manifest",
+        ]
+        assert main(command) == 0
+        before = {p: p.read_bytes() for p in plane.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(command) == 2
+        assert "fresh plane" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in plane.rglob("*") if p.is_file()} == before
+
     def test_shard_without_source_exits_two(self, served, tmp_path, capsys):
         code = main(
             [
@@ -1256,6 +1275,67 @@ class TestShardCLI:
 
 
 class TestSnapshotRetention:
+    def test_guarded_restore_resumes_at_the_first_unconsumed_row(
+        self, served, tmp_path, capsys
+    ):
+        # A guarded replay drops rows (re-deliveries, schema faults), so
+        # it consumes more stream rows than its store absorbs.  Restored
+        # from a mid-stream snapshot, it must resume at the first row it
+        # had not consumed: its scores, DLQ entries and counts are then
+        # the uninterrupted run's tail.
+        from repro.data.dataset import DriveDayDataset
+        from repro.data.io import load_dataset_npz, save_dataset_npz
+        from repro.serve import DeadLetterQueue, FeatureStore
+
+        records = load_dataset_npz(served["fleet"] / "records.npz")
+        n = len(records["drive_id"])
+        # Rows 50 and 450 are delivered twice; rows 120 and 700 of the
+        # result fail the schema.  One of each lands before row 400.
+        order = np.insert(np.arange(n), [51, 451], [50, 450])
+        cols = {k: np.array(v)[order] for k, v in records.items()}
+        cols["write_count"][[120, 700]] = -1
+        trace = tmp_path / "trace"
+        trace.mkdir()
+        save_dataset_npz(
+            DriveDayDataset(cols, check_sorted=False), trace / "records.npz"
+        )
+        snap = tmp_path / "snap.npz"
+
+        def replay(tag: str, *flags: str):
+            out, dlq = tmp_path / f"{tag}.jsonl", tmp_path / f"{tag}-dlq.jsonl"
+            manifest = tmp_path / f"{tag}-manifest.json"
+            code = main(
+                [
+                    "serve", "replay", "--trace", str(trace),
+                    "--model", str(served["model"]), "--chunk-rows", "200",
+                    "--dlq", str(dlq), "--out", str(out),
+                    "--manifest-out", str(manifest), *flags,
+                ]
+            )
+            assert code == 0
+            entries = [
+                {k: v for k, v in e.to_dict().items() if k != "seq"}
+                for e in DeadLetterQueue.read(dlq)
+            ]
+            return load_manifest(manifest)["counts"], out.read_text().splitlines(), entries
+
+        # One snapshot per 200-row chunk: generation 2 is cut at row 400.
+        full = replay(
+            "full", "--snapshot", str(snap), "--snapshot-every", "1",
+            "--snapshot-keep", "100",
+        )
+        cut = tmp_path / "snap-g000002.npz"
+        absorbed = FeatureStore.restore(cut).events_total
+        assert absorbed == 400 - 2
+        counts, scores, dlq = replay("resumed", "--restore", str(cut))
+        capsys.readouterr()
+        assert counts["skipped"] == 400
+        assert scores == full[1][absorbed:]
+        assert dlq == full[2][1:]
+        assert counts["events"] == full[0]["events"] - absorbed
+        assert counts["diverted"] == full[0]["diverted"] - 1 == 1
+        assert counts["duplicates"] == full[0]["duplicates"] - 1 == 1
+
     def test_replay_snapshot_keep_rotates_and_restores(
         self, served, tmp_path, capsys
     ):

@@ -7,7 +7,7 @@ What is pinned here, in order of importance:
   pipeline's — the existing parity gate composes);
 - **SIGKILL failover identity**: a shard killed mid-stream by
   ``REPRO_CHAOS=shard_kill`` is healed by the supervisor retry via
-  checkpoint restore + journal-tail replay, and the merged output is
+  checkpoint restore + trace resume, and the merged output is
   byte-identical to a never-crashed run;
 - **reshard identity**: replaying an N-shard plane's journals through an
   M-shard partition map reproduces the same bytes;
@@ -39,6 +39,7 @@ from repro.serve import (
     run_sharded_replay,
 )
 from repro.serve.health import status_exit_code
+from repro.serve.partition import PartitionMap
 from repro.serve.shard import (
     ShardPaths,
     _save_checkpoint,
@@ -53,8 +54,8 @@ fork_only = pytest.mark.skipif(
 )
 
 #: Probed chaos config whose kill lands *between* checkpoints on both
-#: shards, so the journal-tail fast path (not just full restart) is
-#: exercised: seed 0 with these strides yields nonzero tail replays.
+#: shards, so a restore resumes mid-stream (not just a full restart):
+#: seed 0 with these strides resumes both shards past row 0.
 TAIL_KILL_ENV = {
     ENV_CHAOS: "shard_kill=1.0",
     ENV_CHAOS_SEED: "0",
@@ -140,8 +141,8 @@ class TestFailoverIdentity:
             assert ShardPaths(plane, shard_id).chaos_marker.exists()
         assert result.n_restored == 2
         # At this probed config the kill lands between checkpoints, so
-        # the journal-tail fast path ran (not just a checkpoint resume).
-        assert sum(s["tail_replayed"] for s in result.shards) > 0
+        # each restore resumed mid-stream (not from row 0).
+        assert all(0 < s["resumed_at"] < s["rows_seen"] for s in result.shards)
         assert np.array_equal(result.probability, offline_probs)
         assert np.array_equal(
             result.accepted_index, np.arange(len(offline_probs))
@@ -180,6 +181,40 @@ class TestFailoverIdentity:
         for shard_id in range(2):
             assert not ShardPaths(plane, shard_id).chaos_marker.exists()
         assert np.array_equal(result.probability, offline_probs)
+
+
+@fork_only
+class TestHealedShardCounts:
+    def test_kill_keeps_the_duplicates_earlier_attempts_dropped(
+        self, tmp_path, serve_trace, predictor, monkeypatch
+    ):
+        # The third row of each shard's first drive arrives twice; both
+        # copies are dropped before the checkpoint the killed shards
+        # restore, and the healed plane must still count them.
+        records = serve_trace.records
+        ids = np.asarray(records["drive_id"])
+        shard_of = PartitionMap(2).shard_of_array(ids)
+        again = [int(np.flatnonzero(shard_of == k)[2]) for k in range(2)]
+        order = np.insert(np.arange(len(ids)), np.add(again, 1), again)
+        trace = DriveDayDataset(
+            {k: np.asarray(v)[order] for k, v in records.items()},
+            check_sorted=False,
+        )
+        plain = run_sharded_replay(
+            predictor, trace, 2, tmp_path / "plain", **TAIL_KILL_KW
+        )
+        for key, value in TAIL_KILL_ENV.items():
+            monkeypatch.setenv(key, value)
+        healed = run_sharded_replay(
+            predictor, trace, 2, tmp_path / "healed", **TAIL_KILL_KW
+        )
+        assert healed.n_restored == 2
+        # Sub-stream rows 2 and 3 hold the two copies: before every cut.
+        assert all(s["resumed_at"] > 3 for s in healed.shards)
+        assert (plain.n_diverted, plain.n_duplicates) == (0, 2)
+        assert (healed.n_diverted, healed.n_duplicates) == (0, 2)
+        assert healed.probability.tobytes() == plain.probability.tobytes()
+        assert np.array_equal(healed.accepted_index, plain.accepted_index)
 
 
 class TestReshard:
@@ -326,7 +361,7 @@ class TestTornJournalFailover:
 
         result = run_shard_task(predictor, serve_trace.records, plan, 0)
 
-        assert result["restored"] and result["tail_replayed"] > 0
+        assert result["restored"] and 0 < result["resumed_at"] < result["rows_seen"]
         assert (
             result["probability"].tobytes() == reference.probability.tobytes()
         )
