@@ -66,8 +66,8 @@ def test_traced_run_collects_spans_and_metrics():
     with tracing.activate() as tracer, metrics.activate() as registry:
         simulate_fleet(_CONFIG)
     summary = tracer.stage_summary()
-    assert summary["repro.simulator.model"]["calls"] == 3
-    assert summary["repro.simulator.model"]["rows_out"] > 0
+    assert summary["repro.simulator.chunk"]["calls"] == 4
+    assert summary["repro.simulator.chunk"]["rows_out"] > 0
     assert "repro.simulator.assemble" in summary
     snap = registry.to_dict()
     assert snap["repro_drives_simulated_total"]["series"][0]["value"] == 120.0

@@ -143,6 +143,11 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             # newest on-disk generation; an exact file wins as before.
             resolved = latest_snapshot(Path(args.restore)) or args.restore
             store = FeatureStore.restore(resolved)
+            # Records past the snapshot's cut come back as the replay
+            # resumes there: cut longer logs back, as shard failover does.
+            for log, keep in ((journal, store.journal_lines), (dlq, store.dlq_lines)):
+                if log is not None and keep is not None and log.appended > keep:
+                    log.truncate(keep)
         else:
             store = FeatureStore()
         # The stream position the snapshot records; snapshots that carry

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import zipfile
 from collections.abc import Iterator
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
@@ -287,53 +288,42 @@ def export_dataset_csv(
     return n
 
 
-_SWAP_COLS = (
-    "drive_id",
-    "model",
-    "failure_age",
-    "swap_age",
-    "reentry_age",
-    "operational_start_age",
-    "failure_mode",
-)
+def _table_columns(table: SwapLog | DriveTable) -> dict[str, np.ndarray]:
+    """A table's columns by name, in dataclass field order."""
+    return {f.name: getattr(table, f.name) for f in fields(table)}
+
+
+def _load_table(path: str | Path, cls: type, stage: str, what: str) -> Any:
+    """Load a table written by :func:`_table_columns`; ``what`` names it."""
+    names = [f.name for f in fields(cls)]
+    with tracing.span(stage) as sp:
+        payload = _load_npz(path)
+        first = payload.get(names[0])
+        sp.set(rows_out=int(first.shape[0]) if first is not None else 0)
+    try:
+        return cls(*(payload[c] for c in names))
+    except KeyError as exc:
+        kind = what.replace(" ", "-")
+        raise TraceIntegrityError(
+            f"{what} {path} is missing column {exc}; not a {kind} NPZ?"
+        ) from None
 
 
 def save_swaplog_npz(log: SwapLog, path: str | Path) -> None:
     """Atomically write a :class:`SwapLog` to a ``.npz`` file."""
-    atomic_save_npz(Path(path), **{c: getattr(log, c) for c in _SWAP_COLS})
+    atomic_save_npz(Path(path), **_table_columns(log))
 
 
 def load_swaplog_npz(path: str | Path) -> SwapLog:
     """Load a swap log previously written by :func:`save_swaplog_npz`."""
-    with tracing.span("repro.data.load_swaps") as sp:
-        payload = _load_npz(path)
-        first = payload.get(_SWAP_COLS[0])
-        sp.set(rows_out=int(first.shape[0]) if first is not None else 0)
-    try:
-        return SwapLog(*(payload[c] for c in _SWAP_COLS))
-    except KeyError as exc:
-        raise TraceIntegrityError(
-            f"swap log {path} is missing column {exc}; not a swap-log NPZ?"
-        ) from None
-
-
-_DRIVE_COLS = ("drive_id", "model", "deploy_day", "end_of_observation_age")
+    return _load_table(path, SwapLog, "repro.data.load_swaps", "swap log")
 
 
 def save_drivetable_npz(table: DriveTable, path: str | Path) -> None:
     """Atomically write a :class:`DriveTable` to a ``.npz`` file."""
-    atomic_save_npz(Path(path), **{c: getattr(table, c) for c in _DRIVE_COLS})
+    atomic_save_npz(Path(path), **_table_columns(table))
 
 
 def load_drivetable_npz(path: str | Path) -> DriveTable:
     """Load a drive table previously written by :func:`save_drivetable_npz`."""
-    with tracing.span("repro.data.load_drives") as sp:
-        payload = _load_npz(path)
-        first = payload.get(_DRIVE_COLS[0])
-        sp.set(rows_out=int(first.shape[0]) if first is not None else 0)
-    try:
-        return DriveTable(*(payload[c] for c in _DRIVE_COLS))
-    except KeyError as exc:
-        raise TraceIntegrityError(
-            f"drive table {path} is missing column {exc}; not a drive-table NPZ?"
-        ) from None
+    return _load_table(path, DriveTable, "repro.data.load_drives", "drive table")

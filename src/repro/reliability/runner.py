@@ -10,11 +10,11 @@ Three building blocks, used by :mod:`repro.data.io` and the CLI:
 - :func:`retry_io` — bounded retries with exponential backoff + jitter
   for transient I/O failures (network filesystems, busy volumes);
 - :func:`simulate_fleet_resumable` — chunked, checkpointed fleet
-  simulation.  Per-drive RNG streams are spawned exactly as
-  :func:`repro.simulator.simulate_fleet` spawns them, so the resumable
-  path is bit-identical to the one-shot path: a run killed at any point
-  and resumed with ``--resume`` produces the same trace as an
-  uninterrupted run with the same seed.
+  simulation.  The chunks it has not cached run on the simulator's one
+  chunk loop, the one :func:`repro.simulator.simulate_fleet` runs, so
+  the resumable path is bit-identical to the one-shot path: a run killed
+  at any point and resumed with ``--resume`` produces the same trace as
+  an uninterrupted run with the same seed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 import time
 import zipfile
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from hashlib import sha256
 from pathlib import Path
 from typing import Any
@@ -34,21 +34,14 @@ from ..data import DriveDayDataset, DriveTable, SwapLog
 from ..data.npz import atomic_save_npz
 from ..obs import metrics, tracing
 from ..obs.durable import atomic_write
-from ..parallel import iter_tasks, resolve_workers
+from ..parallel import resolve_workers
 from ..resilience.supervisor import (
     QuarantinedRunError,
     SupervisionLog,
     SupervisorPolicy,
 )
-from ..simulator import (
-    DriveModelSpec,
-    DriveResult,
-    FleetConfig,
-    FleetTrace,
-    default_models,
-    simulate_drive,
-)
-from ..simulator.fleet import _assemble, _seed_plan, concat_traces
+from ..simulator import DriveModelSpec, FleetConfig, FleetTrace, default_models
+from ..simulator.fleet import _simulate_chunks, concat_traces
 
 __all__ = [
     "atomic_write",
@@ -154,21 +147,10 @@ class CheckpointStore:
 
     # -- chunks -----------------------------------------------------------
     def save_chunk(self, index: int, trace: FleetTrace) -> None:
-        arrays: dict[str, np.ndarray] = {}
-        for name, arr in trace.records.items():
-            arrays[f"rec_{name}"] = arr
-        for name in ("drive_id", "model", "deploy_day", "end_of_observation_age"):
-            arrays[f"drv_{name}"] = getattr(trace.drives, name)
-        for name in (
-            "drive_id",
-            "model",
-            "failure_age",
-            "swap_age",
-            "reentry_age",
-            "operational_start_age",
-            "failure_mode",
-        ):
-            arrays[f"swp_{name}"] = getattr(trace.swaps, name)
+        arrays = {f"rec_{name}": arr for name, arr in trace.records.items()}
+        for prefix, table in (("drv", trace.drives), ("swp", trace.swaps)):
+            for f in fields(table):
+                arrays[f"{prefix}_{f.name}"] = getattr(table, f.name)
         retry_io(lambda: atomic_save_npz(self.chunk_path(index), **arrays))
 
     def load_chunk(self, index: int, config: FleetConfig) -> FleetTrace | None:
@@ -222,34 +204,6 @@ class CheckpointStore:
             pass  # unexpected stray files: leave them for inspection
 
 
-def _simulate_chunk_task(task: tuple) -> FleetTrace:
-    """Pool task: simulate one checkpoint chunk into a partial trace.
-
-    Runs inside a worker process under ``workers > 1`` (the chunk span
-    it emits ships back in the worker's obs delta) and in-process on the
-    serial path — either way the span layout and stage aggregates match.
-    Persisting the chunk stays with the parent, which owns the store.
-    """
-    config, models, chunk, lo, hi, seeds, deploy_days = task
-    with tracing.span("repro.simulator.chunk", n_drives=hi - lo) as sp:
-        results: list[DriveResult] = []
-        for drive_id in range(lo, hi):
-            model_index = drive_id // config.n_drives_per_model
-            results.append(
-                simulate_drive(
-                    drive_id=drive_id,
-                    model_index=model_index,
-                    spec=models[model_index],
-                    deploy_day=deploy_days[drive_id - lo],
-                    horizon_days=config.horizon_days,
-                    rng=np.random.default_rng(seeds[drive_id - lo]),
-                )
-            )
-        part = _assemble(results, config)
-        sp.set(chunk=chunk, cached=False, rows_out=len(part.records))
-    return part
-
-
 def simulate_fleet_resumable(
     config: FleetConfig | None = None,
     checkpoint_dir: str | Path = ".checkpoints",
@@ -270,12 +224,14 @@ def simulate_fleet_resumable(
     models and seed) are loaded instead of re-simulated; incompatible or
     damaged checkpoints are re-simulated from scratch.
 
-    With ``workers > 1`` (or ``$REPRO_WORKERS`` set) the still-missing
-    chunks fan out across worker processes; every chunk owns its
-    pre-spawned seed slice, so the trace — and every checkpoint file —
-    is byte-identical to a serial run.  Checkpoints are persisted by the
-    parent in chunk order as results stream back, so a killed parallel
-    run resumes exactly like a killed serial one.
+    The still-missing chunks run on the simulator's chunk loop, across
+    worker processes under ``workers > 1`` (or ``$REPRO_WORKERS`` set);
+    every chunk owns its pre-spawned seed slice, so the trace — and
+    every checkpoint file — is byte-identical to a serial run.
+    Checkpoints are persisted by the parent in chunk order as results
+    stream back, so a killed parallel run resumes exactly like a killed
+    serial one.  Cached chunks report a ``repro.simulator.chunk`` span
+    marked ``cached`` and are not counted as simulated drives.
 
     ``progress(done_chunks, n_chunks)`` is invoked after every chunk —
     the CLI uses it for status lines, the tests to kill the run
@@ -301,11 +257,6 @@ def simulate_fleet_resumable(
     n_total = config.n_drives_per_model * len(models)
     n_chunks = (n_total + chunk_size - 1) // chunk_size
 
-    # RNG streams exactly as simulate_fleet spawns them: one child per
-    # drive plus a trailing deployment stream, with deploy days drawn
-    # sequentially in global drive order.
-    seeds, deploy_days = _seed_plan(config, n_total)
-
     directory = Path(checkpoint_dir)
     directory.mkdir(parents=True, exist_ok=True)
     store = CheckpointStore(
@@ -320,15 +271,15 @@ def simulate_fleet_resumable(
     parts: list[FleetTrace | None] = [None] * n_chunks
     done = 0
 
-    def bounds(chunk: int) -> tuple[int, int]:
+    def bounds(chunk: int) -> tuple[int, int, int]:
         lo = chunk * chunk_size
-        return lo, min(lo + chunk_size, n_total)
+        return chunk, lo, min(lo + chunk_size, n_total)
 
     # Cached chunks first: loading is parent-side work (the store is not
     # shared with workers), and surfacing them early keeps the resume
     # path free of pool startup cost when everything is already done.
     for chunk in sorted(completed):
-        lo, hi = bounds(chunk)
+        _, lo, hi = bounds(chunk)
         part = store.load_chunk(chunk, config)
         if part is None:  # damaged checkpoint: re-simulate below
             completed.discard(chunk)
@@ -345,24 +296,10 @@ def simulate_fleet_resumable(
         if progress is not None:
             progress(done, n_chunks)
 
-    todo = [chunk for chunk in range(n_chunks) if parts[chunk] is None]
-    tasks = []
-    for chunk in todo:
-        lo, hi = bounds(chunk)
-        tasks.append(
-            (config, models, chunk, lo, hi, seeds[lo:hi], deploy_days[lo:hi])
-        )
+    todo = [bounds(chunk) for chunk in range(n_chunks) if parts[chunk] is None]
     log = supervision if supervision is not None else SupervisionLog()
     n_quarantined_before = len(log.quarantined)
-    for i, part in iter_tasks(
-        _simulate_chunk_task,
-        tasks,
-        workers=workers,
-        label="repro.simulator",
-        policy=policy,
-        supervision=log,
-    ):
-        chunk = todo[i]
+    for chunk, part in _simulate_chunks(config, models, todo, workers, policy, log):
         store.save_chunk(chunk, part)
         completed.add(chunk)
         store.write_manifest(sorted(completed))

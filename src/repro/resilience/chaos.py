@@ -176,24 +176,26 @@ def planned_fault(
     return None
 
 
+def _spec_from_env(modes: tuple[str, ...]) -> tuple[list[tuple[str, float]], int]:
+    """The ``modes`` slice of ``$REPRO_CHAOS`` plus the chaos seed.
+
+    The one reader of both variables.  One ``$REPRO_CHAOS`` value may mix
+    worker, telemetry and shard modes; each injection site takes its own
+    slice, so a mixed spec never faults another site's domain.
+    """
+    raw = os.environ.get(ENV_CHAOS, "").strip()
+    spec = [(mode, rate) for mode, rate in parse_chaos_spec(raw) if mode in modes]
+    return spec, int(os.environ.get(ENV_CHAOS_SEED, "0") or 0)
+
+
 def maybe_inject(task_index: int, attempt: int) -> None:
     """Apply the planned fault for ``(task_index, attempt)``, if any.
 
     ``attempt`` is 1-based.  Called from the supervised worker loop right
-    before the task body; a no-op unless ``$REPRO_CHAOS`` is set.
+    before the task body; a no-op unless ``$REPRO_CHAOS`` holds a worker
+    mode.
     """
-    raw = os.environ.get(ENV_CHAOS, "").strip()
-    if not raw:
-        return
-    # Telemetry modes target the serve-path event stream, not pool
-    # workers — drop them here so a mixed spec never faults a worker.
-    spec = [
-        (mode, rate)
-        for mode, rate in parse_chaos_spec(raw)
-        if mode in CHAOS_MODES
-    ]
-    seed = int(os.environ.get(ENV_CHAOS_SEED, "0") or 0)
-    mode = planned_fault(task_index, spec, seed)
+    mode = planned_fault(task_index, *_spec_from_env(CHAOS_MODES))
     if mode is None:
         return
     if mode == "error_always":
@@ -223,16 +225,7 @@ def telemetry_spec_from_env() -> tuple[list[tuple[str, float]], int]:
     Returns ``([], seed)`` when no telemetry mode is configured — the
     serve path uses this to decide whether to perturb a replay at all.
     """
-    raw = os.environ.get(ENV_CHAOS, "").strip()
-    seed = int(os.environ.get(ENV_CHAOS_SEED, "0") or 0)
-    if not raw:
-        return [], seed
-    spec = [
-        (mode, rate)
-        for mode, rate in parse_chaos_spec(raw)
-        if mode in TELEMETRY_MODES
-    ]
-    return spec, seed
+    return _spec_from_env(TELEMETRY_MODES)
 
 
 def shard_spec_from_env() -> tuple[list[tuple[str, float]], int]:
@@ -240,16 +233,7 @@ def shard_spec_from_env() -> tuple[list[tuple[str, float]], int]:
 
     Returns ``([], seed)`` when no shard mode is configured.
     """
-    raw = os.environ.get(ENV_CHAOS, "").strip()
-    seed = int(os.environ.get(ENV_CHAOS_SEED, "0") or 0)
-    if not raw:
-        return [], seed
-    spec = [
-        (mode, rate)
-        for mode, rate in parse_chaos_spec(raw)
-        if mode in SHARD_MODES
-    ]
-    return spec, seed
+    return _spec_from_env(SHARD_MODES)
 
 
 def planned_shard_kill(

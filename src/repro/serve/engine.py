@@ -586,8 +586,16 @@ class ScoringEngine:
     ) -> Path:
         """One snapshot write: in-place without ``keep``, rotated with.
         It records ``rows_seen``, the stream rows consumed so far, which
-        is where a restored replay resumes."""
-        write = partial(self.store.snapshot, rows_seen=rows_seen)
+        is where a restored replay resumes, and the records the guard's
+        journal and DLQ hold by then, which a restore cuts them back to."""
+        journal = self.guard.journal if self.guard is not None else None
+        dlq = self.guard.dlq if self.guard is not None else None
+        write = partial(
+            self.store.snapshot,
+            rows_seen=rows_seen,
+            journal_lines=None if journal is None else journal.appended,
+            dlq_lines=None if dlq is None else dlq.appended,
+        )
         if keep is None:
             return write(path)
         from .snapshots import write_rotated

@@ -118,6 +118,12 @@ class FeatureStore:
         #: replay resumes there, not at ``events_total``, which counts
         #: accepted rows only.
         self.rows_seen: int | None = None
+        #: Records the replay's journal and DLQ held at that same cut
+        #: (``None`` unless the snapshot records them): a restored replay
+        #: cuts longer logs back to them before it re-appends the rows
+        #: past the cut.
+        self.journal_lines: int | None = None
+        self.dlq_lines: int | None = None
 
     # ------------------------------------------------------------------ state
     def __len__(self) -> int:
@@ -344,19 +350,32 @@ class FeatureStore:
                 "boundary_digest": digests,
             }
 
-    def snapshot(self, path: str | Path, rows_seen: int | None = None) -> Path:
+    def snapshot(
+        self,
+        path: str | Path,
+        rows_seen: int | None = None,
+        journal_lines: int | None = None,
+        dlq_lines: int | None = None,
+    ) -> Path:
         """Atomically persist the store state; returns the path.
 
         The snapshot is deterministic: drives are sorted by id and the
         NPZ writer pins zip timestamps, so equal states produce equal
         bytes (the chaos drill compares snapshot digests directly).
         ``rows_seen`` records a replay's stream position next to the
-        state (see :attr:`rows_seen`).
+        state, and ``journal_lines``/``dlq_lines`` its logs' record
+        counts at that position (see :attr:`rows_seen`,
+        :attr:`journal_lines`).
         """
         path = Path(path)
         arrays = self.state_arrays()
-        if rows_seen is not None:
-            arrays["rows_seen"] = np.array([rows_seen], dtype=np.int64)
+        for name, value in (
+            ("rows_seen", rows_seen),
+            ("journal_lines", journal_lines),
+            ("dlq_lines", dlq_lines),
+        ):
+            if value is not None:
+                arrays[name] = np.array([value], dtype=np.int64)
         atomic_save_npz(path, **arrays)
         return path
 
@@ -399,9 +418,11 @@ class FeatureStore:
                 if s
             }
         # Optional too: snapshots that do not record a stream position
-        # resume at events_total.
-        if "rows_seen" in arrays:
-            store.rows_seen = int(arrays["rows_seen"][0])
+        # resume at events_total, and ones without log counts leave the
+        # logs as they are.
+        for name in ("rows_seen", "journal_lines", "dlq_lines"):
+            if name in arrays:
+                setattr(store, name, int(arrays[name][0]))
         return store
 
     @classmethod

@@ -9,15 +9,20 @@ data products the paper's analyses consume:
 - the **swap log** (:class:`~repro.data.SwapLog`) plus drive metadata
   (:class:`~repro.data.DriveTable`).
 
-Because each drive owns a pre-spawned :class:`numpy.random.SeedSequence`
-child, the fleet can be sharded across worker processes
-(``simulate_fleet(config, workers=N)``) with byte-identical output for
-any ``N`` — scheduling never touches a random stream.  See DESIGN.md §11.
+Every simulate path runs one chunk loop, :func:`_simulate_chunks`: a
+pool task per contiguous drive range, each simulating its drives from
+their slice of one seed plan.  :func:`simulate_fleet` runs it over
+:func:`~repro.parallel.shard_ranges` and
+:func:`repro.reliability.simulate_fleet_resumable` over the checkpoint
+chunks it has not cached.  Because each drive owns a pre-spawned
+:class:`numpy.random.SeedSequence` child, the trace is byte-identical
+for any worker count and any chunking — scheduling never touches a
+random stream.  See DESIGN.md §11.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,6 +34,8 @@ from ..parallel import iter_tasks, resolve_workers, shard_ranges
 from .config import DriveModelSpec, FleetConfig, default_models
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .drive import DriveResult
 
 __all__ = ["FleetTrace", "simulate_fleet", "concat_traces"]
@@ -64,9 +71,10 @@ def _seed_plan(
     One seed child per drive plus a trailing deployment stream; deploy
     days are drawn sequentially in global drive order from that dedicated
     stream, so precomputing them here is stream-for-stream identical to
-    drawing them lazily inside the simulation loop.  Both the serial and
-    the sharded paths (and :func:`repro.reliability.simulate_fleet_resumable`)
-    consume this one plan — the root of the any-N bit-identity guarantee.
+    drawing them lazily inside the simulation loop.  The chunk loop
+    (:func:`_simulate_chunks`) hands every chunk its slice of this one
+    plan, whichever path runs it and however the drives are chunked —
+    the root of the any-N bit-identity guarantee.
     """
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(n_total + 1)
@@ -89,6 +97,10 @@ def simulate_fleet(
 ) -> FleetTrace:
     """Simulate the whole fleet described by ``config``.
 
+    Drives run in the contiguous chunks of
+    :func:`~repro.parallel.shard_ranges`, one task each on the chunk
+    loop, and the chunks concatenate in drive order.
+
     Parameters
     ----------
     config:
@@ -97,76 +109,83 @@ def simulate_fleet(
         Drive-model specs, in model-index order (defaults to the paper's
         MLC-A / MLC-B / MLC-D presets).
     workers:
-        Worker processes to shard drives across; ``None`` resolves to
-        ``$REPRO_WORKERS`` or 1 (serial).  The trace is byte-identical
-        for every value.
+        Worker processes to run the chunks on; ``None`` resolves to
+        ``$REPRO_WORKERS`` or 1 (in-process).  The trace is
+        byte-identical for every value.
     policy, supervision:
         A :class:`repro.resilience.SupervisorPolicy` adds deadlines and
-        deterministic retries to the sharded path.  Quarantine is forced
-        off here (shards concatenate into one trace — a missing shard
+        deterministic retries to the chunk tasks.  Quarantine is forced
+        off here (chunks concatenate into one trace — a missing chunk
         would be silent corruption); use
         :func:`repro.reliability.simulate_fleet_resumable` for runs that
         must survive poison tasks.
     """
-    # The simulation engine loads here, not with FleetTrace, and before
-    # the sharded path forks its workers.
-    from .drive import simulate_drive
-
     config = config or FleetConfig()
     models = models or default_models()
-    n_total = config.n_drives_per_model * len(models)
     workers = resolve_workers(workers)
-    if workers > 1 and n_total > 1:
-        return _simulate_fleet_parallel(
-            config, models, workers, policy=policy, supervision=supervision
-        )
+    if policy is not None:
+        # A quarantined hole would be silent data loss, so poison must
+        # raise here.
+        from ..resilience.supervisor import force_fail
 
-    seeds, deploy_days = _seed_plan(config, n_total)
-    results: list[DriveResult] = []
-    drive_id = 0
-    for model_index, spec in enumerate(models):
-        # Span granularity is per model group, not per drive: the hot loop
-        # stays uninstrumented inside (benchmarks/test_obs_overhead.py
-        # holds the enabled-vs-disabled delta under 5%).
-        with tracing.span(
-            "repro.simulator.model", n_drives=config.n_drives_per_model
-        ) as sp:
-            rows = 0
-            for _ in range(config.n_drives_per_model):
-                rng = np.random.default_rng(seeds[drive_id])
-                results.append(
-                    simulate_drive(
-                        drive_id=drive_id,
-                        model_index=model_index,
-                        spec=spec,
-                        deploy_day=deploy_days[drive_id],
-                        horizon_days=config.horizon_days,
-                        rng=rng,
-                    )
-                )
-                rows += results[-1].records["age_days"].shape[0]
-                drive_id += 1
-            sp.set(model=model_index, rows_out=rows)
-        metrics.inc(
-            "repro_drives_simulated_total",
-            config.n_drives_per_model,
-            help="Drives simulated",
-        )
-
-    return _assemble(results, config)
+        policy = force_fail(policy)
+    ranges = shard_ranges(config.n_drives_per_model * len(models), workers)
+    bounds = [(chunk, lo, hi) for chunk, (lo, hi) in enumerate(ranges)]
+    chunks = _simulate_chunks(config, models, bounds, workers, policy, supervision)
+    return concat_traces([part for _, part in chunks], config)
 
 
 # --------------------------------------------------------------------------
-# sharded execution
+# the chunk loop
 # --------------------------------------------------------------------------
 
 
-def _simulate_shard(task: tuple) -> FleetTrace:
-    """Pool task: simulate one contiguous drive range into a partial trace."""
+def _simulate_chunks(
+    config: FleetConfig,
+    models: tuple[DriveModelSpec, ...],
+    bounds: list[tuple[int, int, int]],
+    workers: int,
+    policy: object | None,
+    supervision: object | None,
+) -> Iterator[tuple[int, FleetTrace]]:
+    """Simulate ``(chunk, lo, hi)`` drive ranges, yielding ``(chunk, part)``.
+
+    The one loop behind every simulate path: each range is one
+    :func:`_simulate_chunk` task on the worker pool, and parts arrive in
+    ``bounds`` order whatever the worker count.  Quarantined tasks are
+    skipped, as :func:`~repro.parallel.iter_tasks` skips them.
+    """
+    # The simulation engine loads here, not with FleetTrace, and before
+    # the pool forks its workers.
+    from . import drive  # noqa: F401
+
+    seeds, deploy_days = _seed_plan(config, config.n_drives_per_model * len(models))
+    tasks = [
+        (config, models, chunk, lo, hi, seeds[lo:hi], deploy_days[lo:hi])
+        for chunk, lo, hi in bounds
+    ]
+    for i, part in iter_tasks(
+        _simulate_chunk,
+        tasks,
+        workers=workers,
+        label="repro.simulator",
+        policy=policy,
+        supervision=supervision,
+    ):
+        yield bounds[i][0], part
+
+
+def _simulate_chunk(task: tuple) -> FleetTrace:
+    """Pool task: simulate drives ``[lo, hi)`` into one partial trace.
+
+    Span granularity is per chunk, not per drive: the hot loop stays
+    uninstrumented inside (benchmarks/test_obs_overhead.py holds the
+    enabled-vs-disabled delta under 5%).
+    """
     from .drive import simulate_drive
 
-    config, models, lo, hi, seeds, deploy_days = task
-    with tracing.span("repro.simulator.shard", n_drives=hi - lo) as sp:
+    config, models, chunk, lo, hi, seeds, deploy_days = task
+    with tracing.span("repro.simulator.chunk", n_drives=hi - lo) as sp:
         results = []
         for drive_id in range(lo, hi):
             model_index = drive_id // config.n_drives_per_model
@@ -181,69 +200,29 @@ def _simulate_shard(task: tuple) -> FleetTrace:
                 )
             )
         part = _assemble(results, config)
-        sp.set(shard_lo=lo, rows_out=len(part.records))
+        sp.set(chunk=chunk, cached=False, rows_out=len(part.records))
     metrics.inc("repro_drives_simulated_total", hi - lo, help="Drives simulated")
     return part
 
 
-def _simulate_fleet_parallel(
-    config: FleetConfig,
-    models: tuple[DriveModelSpec, ...],
-    workers: int,
-    policy: object | None = None,
-    supervision: object | None = None,
-) -> FleetTrace:
-    n_total = config.n_drives_per_model * len(models)
-    seeds, deploy_days = _seed_plan(config, n_total)
-    tasks = [
-        (config, models, lo, hi, seeds[lo:hi], deploy_days[lo:hi])
-        for lo, hi in shard_ranges(n_total, workers)
-    ]
-    if policy is not None:
-        # Shards concatenate into one trace; a quarantined hole would be
-        # silent data loss, so poison must raise here.
-        from ..resilience.supervisor import force_fail
-
-        policy = force_fail(policy)
-    parts = [
-        part
-        for _, part in iter_tasks(
-            _simulate_shard,
-            tasks,
-            workers=workers,
-            label="repro.simulator",
-            policy=policy,
-            supervision=supervision,
-        )
-    ]
-    return concat_traces(parts, config)
+def _concat_tables(cls: type, tables: list) -> object:
+    """Concatenate aligned tables of one dataclass, column by column."""
+    return cls(
+        **{
+            f.name: np.concatenate([getattr(t, f.name) for t in tables])
+            for f in fields(cls)
+        }
+    )
 
 
 def concat_traces(parts: list[FleetTrace], config: FleetConfig) -> FleetTrace:
     """Concatenate partial traces in drive order (parts are disjoint)."""
-    records = concat_datasets([p.records for p in parts if len(p.records)])
-    if not any(len(p.records) for p in parts):
-        records = DriveDayDataset.empty()
-    drives = DriveTable(
-        drive_id=np.concatenate([p.drives.drive_id for p in parts]),
-        model=np.concatenate([p.drives.model for p in parts]),
-        deploy_day=np.concatenate([p.drives.deploy_day for p in parts]),
-        end_of_observation_age=np.concatenate(
-            [p.drives.end_of_observation_age for p in parts]
-        ),
+    return FleetTrace(
+        records=concat_datasets([p.records for p in parts]),
+        drives=_concat_tables(DriveTable, [p.drives for p in parts]),
+        swaps=_concat_tables(SwapLog, [p.swaps for p in parts]),
+        config=config,
     )
-    swaps = SwapLog(
-        drive_id=np.concatenate([p.swaps.drive_id for p in parts]),
-        model=np.concatenate([p.swaps.model for p in parts]),
-        failure_age=np.concatenate([p.swaps.failure_age for p in parts]),
-        swap_age=np.concatenate([p.swaps.swap_age for p in parts]),
-        reentry_age=np.concatenate([p.swaps.reentry_age for p in parts]),
-        operational_start_age=np.concatenate(
-            [p.swaps.operational_start_age for p in parts]
-        ),
-        failure_mode=np.concatenate([p.swaps.failure_mode for p in parts]),
-    )
-    return FleetTrace(records=records, drives=drives, swaps=swaps, config=config)
 
 
 # --------------------------------------------------------------------------

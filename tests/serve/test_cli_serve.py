@@ -1336,6 +1336,55 @@ class TestSnapshotRetention:
         assert counts["diverted"] == full[0]["diverted"] - 1 == 1
         assert counts["duplicates"] == full[0]["duplicates"] - 1 == 1
 
+    def test_guarded_restore_into_the_same_logs_does_not_duplicate_them(
+        self, served, tmp_path, capsys
+    ):
+        # Restored into the logs it had been writing, a guarded replay
+        # cuts them back to the snapshot's cut before it re-appends the
+        # rows past it: both logs come out byte-equal to the
+        # uninterrupted run's.
+        from repro.serve import FeatureStore
+
+        dirty = tmp_path / "dirty"
+        assert main(
+            [
+                "inject", "--trace", str(served["fleet"]), "--out", str(dirty),
+                "--faults", "duplicate_rows,value_spikes", "--seed", "3",
+            ]
+        ) == 0
+        snap = tmp_path / "snap.npz"
+
+        def replay(journal: Path, dlq: Path, *flags: str) -> None:
+            code = main(
+                [
+                    "serve", "replay", "--trace", str(dirty),
+                    "--model", str(served["model"]), "--chunk-rows", "200",
+                    "--journal", str(journal), "--dlq", str(dlq),
+                    "--no-manifest", *flags,
+                ]
+            )
+            assert code == 0
+
+        journal, dlq = tmp_path / "journal.jsonl", tmp_path / "dlq.jsonl"
+        replay(
+            journal, dlq, "--snapshot", str(snap), "--snapshot-every", "1",
+            "--snapshot-keep", "100",
+        )
+        cut = tmp_path / "snap-g000003.npz"
+        at_cut = FeatureStore.restore(cut)
+        full_journal, full_dlq = journal.read_bytes(), dlq.read_bytes()
+        # The cut falls between log records on both logs.
+        assert 0 < at_cut.journal_lines < full_journal.count(b"\n")
+        assert 0 < at_cut.dlq_lines < full_dlq.count(b"\n")
+
+        resumed_journal, resumed_dlq = tmp_path / "j2.jsonl", tmp_path / "d2.jsonl"
+        resumed_journal.write_bytes(full_journal)
+        resumed_dlq.write_bytes(full_dlq)
+        replay(resumed_journal, resumed_dlq, "--restore", str(cut))
+        capsys.readouterr()
+        assert resumed_journal.read_bytes() == full_journal
+        assert resumed_dlq.read_bytes() == full_dlq
+
     def test_replay_snapshot_keep_rotates_and_restores(
         self, served, tmp_path, capsys
     ):

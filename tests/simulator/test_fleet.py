@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.data import MODEL_NAMES
+from repro.obs import metrics, tracing
+from repro.parallel import shard_ranges
+from repro.reliability import simulate_fleet_resumable
 from repro.simulator import FleetConfig, simulate_fleet
 
 
@@ -81,3 +85,49 @@ class TestFleetTrace:
 
     def test_model_names_alignment(self):
         assert MODEL_NAMES == ("MLC-A", "MLC-B", "MLC-D")
+
+
+class TestOneChunkStage:
+    """Every simulate path reports the chunk stage and counts the drives
+    it simulated, never the ones it loaded from a checkpoint."""
+
+    CONFIG = FleetConfig(n_drives_per_model=5, horizon_days=120, deploy_spread_days=40, seed=3)
+    N_DRIVES = 15
+
+    @staticmethod
+    def _observe(run):
+        with tracing.activate() as tracer, metrics.activate() as registry:
+            run()
+        stages = tracer.stage_summary()
+        series = registry.to_dict()["repro_drives_simulated_total"]["series"]
+        return stages, sum(s["value"] for s in series)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_simulate_fleet(self, workers):
+        stages, simulated = self._observe(
+            lambda: simulate_fleet(self.CONFIG, workers=workers)
+        )
+        assert set(stages) == {"repro.simulator.chunk", "repro.simulator.assemble"}
+        n_chunks = len(shard_ranges(self.N_DRIVES, workers))
+        assert stages["repro.simulator.chunk"]["calls"] == n_chunks
+        assert simulated == self.N_DRIVES
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_counts_only_the_chunks_it_simulates(self, tmp_path, workers):
+        ckpt = tmp_path / "ckpt"
+        simulate_fleet_resumable(self.CONFIG, checkpoint_dir=ckpt, chunk_size=4)
+        for path in sorted(ckpt.glob("chunk_*.npz"))[1:]:
+            path.unlink()  # keep chunk 0 (drives 0-3) cached
+        stages, simulated = self._observe(
+            lambda: simulate_fleet_resumable(
+                self.CONFIG,
+                checkpoint_dir=ckpt,
+                chunk_size=4,
+                resume=True,
+                workers=workers,
+            )
+        )
+        assert set(stages) == {"repro.simulator.chunk", "repro.simulator.assemble"}
+        assert stages["repro.simulator.chunk"]["calls"] == 4
+        assert stages["repro.simulator.assemble"]["calls"] == 3
+        assert simulated == self.N_DRIVES - 4

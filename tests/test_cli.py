@@ -368,12 +368,12 @@ class TestParallelCLI:
         reason="patch must be inherited by forked workers",
     )
     def test_worker_crash_exits_2_not_hang(self, tmp_path, monkeypatch, capsys):
-        import repro.reliability.runner as runner_mod
+        import repro.simulator.drive as drive_mod
 
         def _boom(*args, **kwargs):
             raise RuntimeError("injected worker failure")
 
-        monkeypatch.setattr(runner_mod, "simulate_drive", _boom)
+        monkeypatch.setattr(drive_mod, "simulate_drive", _boom)
         code = _simulate(
             tmp_path / "fleet",
             extra=["--workers", "2", "--checkpoint-every", "8"],
