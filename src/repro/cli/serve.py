@@ -119,7 +119,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         FeatureStore,
         ScoringEngine,
         ServeBreaker,
-        latest_snapshot,
     )
 
     predictor, model_path, model_desc = serve_predictor(args)
@@ -138,21 +137,10 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         dlq = run.open(DeadLetterQueue, args.dlq) if args.dlq else None
         journal = run.open(EventJournal, args.journal) if args.journal else None
         guarded = bool(dlq or journal or telem_spec)
-        if args.restore:
-            # A rotated snapshot base (--snapshot-keep) resolves to its
-            # newest on-disk generation; an exact file wins as before.
-            resolved = latest_snapshot(Path(args.restore)) or args.restore
-            store = FeatureStore.restore(resolved)
-            # Records past the snapshot's cut come back as the replay
-            # resumes there: cut longer logs back, as shard failover does.
-            for log, keep in ((journal, store.journal_lines), (dlq, store.dlq_lines)):
-                if log is not None and keep is not None and log.appended > keep:
-                    log.truncate(keep)
-        else:
-            store = FeatureStore()
-        # The stream position the snapshot records; snapshots that carry
-        # none resume at the accepted-row count.
-        start_row = store.events_total if store.rows_seen is None else store.rows_seen
+        # A restored replay resumes at the snapshot's cut (see
+        # ScoringEngine.replay); a rotation base resolves to its newest
+        # generation.
+        store = FeatureStore.restore(args.restore) if args.restore else FeatureStore()
         guard = (
             AdmissionGuard(
                 store, dlq=dlq, journal=journal, breaker=ServeBreaker()
@@ -173,7 +161,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             # Chaos drill: perturb the event stream (pure function of
             # the chaos seed) and route every arrival through the
             # admission guard one at a time.
-            if start_row:
+            if args.restore:
                 raise CLIError(
                     "--restore cannot be combined with telemetry chaos "
                     "(the fault plan is indexed from event 0)"
@@ -196,7 +184,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             result = engine.replay(
                 records_path,
                 chunk_rows=args.chunk_rows,
-                start_row=start_row,
                 snapshot_every=args.snapshot_every,
                 snapshot_path=args.snapshot,
                 snapshot_keep=args.snapshot_keep,
@@ -214,6 +201,9 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             if check_parity or (args.out and result.scored is None)
             else None
         )
+        # The stream rows the scores cover; a restore whose snapshot
+        # records no scores covers only the rows past its cut.
+        index = slice(None) if result.accepted_index is None else result.accepted_index
         diverged = 0
         if check_parity:
             # On the engine's warm workers, when it has them.
@@ -223,27 +213,21 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
                 policy=run.policy,
                 supervision=run.supervision,
                 pool=engine.scoring_pool(),
-            )[start_row:]
+            )[index]
             diverged = _diverged(result.probability, offline)
         if args.out:
             if result.scored is not None:
                 rows = ((e.drive_id, e.age_days, e.probability) for e in result.scored)
             else:
-                # A guarded replay may have diverted or deduped rows, so
-                # probabilities cover its accepted events only.
-                index = (
-                    slice(start_row, None)
-                    if result.accepted_index is None
-                    else start_row + result.accepted_index
-                )
                 rows = _record_rows(records, index, result.probability)
             _write_scores(args.out, rows)
             run.manifest.add_output(args.out)
+        n_events = len(result.probability)
         run.manifest.counts = {
-            "events": result.n_events,
+            "events": n_events,
             "batches": result.n_batches,
             "drives": store.n_drives,
-            "skipped": start_row,
+            "skipped": result.resumed_at,
             "diverted": result.n_diverted,
             "duplicates": result.n_duplicates,
         }
@@ -253,7 +237,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         if guarded:
             run.manifest.record_serve(serve_summary(engine, args.dlq, args.journal))
     suffix = f", manifest {run.manifest_path}" if run.manifest_path else ""
-    resumed = f" (resumed past {start_row})" if start_row else ""
+    resumed = f" (resumed past {result.resumed_at})" if result.resumed_at else ""
     if run.slo_report is not None:
         print_slo("serve replay", run.slo_report)
     if diverged:
@@ -271,13 +255,13 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             else ""
         )
         print(
-            f"serve replay: {result.n_events} event(s) scored{faults}, "
+            f"serve replay: {n_events} event(s) scored{faults}, "
             f"{result.events_per_second:,.0f} ev/s, {store.n_drives} drives "
             f"({model_desc}; parity not checked){suffix}"
         )
         return 0
     print(
-        f"serve replay ok: {result.n_events} events{resumed} scored online "
+        f"serve replay ok: {n_events} events{resumed} scored online "
         f"match offline bit-for-bit, {result.events_per_second:,.0f} ev/s, "
         f"{store.n_drives} drives ({model_desc}){suffix}"
     )
@@ -326,9 +310,7 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
             old_plane = Path(args.reshard_from)
             # Baseline first: the old plane's merged scores, read back
             # from its final checkpoints — the reshard identity gate.
-            baseline = (
-                None if args.no_parity else plane_scores(old_plane)[0]
-            )
+            baseline = None if args.no_parity else plane_scores(old_plane)
             result = reshard_plane(
                 old_plane, plane, predictor, args.shards, **common
             )
@@ -830,8 +812,9 @@ def register(sub: argparse._SubParsersAction) -> None:
         "--restore",
         default=None,
         metavar="PATH",
-        help="restore the feature store from a snapshot and resume the "
-        "replay after the events it already absorbed",
+        help="restore the feature store from a snapshot (or the newest "
+        "generation of a --snapshot-keep base) and resume the replay at "
+        "its cut; the result covers the whole run",
     )
     p_rpl.add_argument(
         "--dlq",
@@ -961,7 +944,8 @@ def register(sub: argparse._SubParsersAction) -> None:
         "--restore",
         default=None,
         metavar="PATH",
-        help="start from a feature-store snapshot instead of empty state",
+        help="start from a feature-store snapshot (or the newest "
+        "generation of a --snapshot-keep base) instead of empty state",
     )
     p_run.add_argument(
         "--snapshot",

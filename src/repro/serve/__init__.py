@@ -83,9 +83,7 @@ __all__ = [
     "PartitionMap",
     "drive_shard",
     "drive_shards",
-    "split_chunk",
     "SHARD_SCHEMA_VERSION",
-    "ShardCheckpoint",
     "ShardError",
     "ShardPaths",
     "ShardedReplayResult",
@@ -149,12 +147,10 @@ __getattr__, __dir__ = lazy_exports(
             "PartitionMap",
             "drive_shard",
             "drive_shards",
-            "split_chunk",
         ),
         ".registry": ("ModelRegistry", "RegistryError"),
         ".shard": (
             "SHARD_SCHEMA_VERSION",
-            "ShardCheckpoint",
             "ShardError",
             "ShardPaths",
             "ShardedReplayResult",

@@ -108,15 +108,22 @@ class ReplayResult:
 
     ``n_diverted``/``n_duplicates`` are nonzero only on guarded replays:
     events the admission guard dead-lettered or dropped as exact
-    duplicates (``probability`` covers accepted events only).  On
-    guarded replays ``accepted_index`` maps each probability back to its
-    source row: position ``i`` of ``probability`` scored row
-    ``accepted_index[i]`` of the replayed stream (0 = the first
-    post-``start_row`` row; the chunk's first row for
-    :meth:`ScoringEngine.absorb`).  ``None`` on unguarded replays, where
-    probabilities align 1:1 with the stream.  An event-wise replay
-    (:meth:`ScoringEngine.replay_events`) has no ``accepted_index`` and
-    keeps its :class:`ScoredEvent` records in ``scored``.
+    duplicates (``probability`` covers accepted events only).
+    ``accepted_index`` maps each probability back to its source row:
+    position ``i`` of ``probability`` scored row ``accepted_index[i]``
+    of the replayed stream (the chunk's own rows for
+    :meth:`ScoringEngine.absorb`).  It is ``None`` when probabilities
+    align 1:1 with the stream from row 0, as on an unguarded replay.  An
+    event-wise replay (:meth:`ScoringEngine.replay_events`) has no
+    ``accepted_index`` and keeps its :class:`ScoredEvent` records in
+    ``scored``.
+
+    A replay resumed from a snapshot's cut starts at stream row
+    ``resumed_at``.  When the cut records the scores before it, the
+    result covers the whole run: ``probability``, ``accepted_index``,
+    ``n_diverted`` and ``n_duplicates`` include the cut's part.
+    ``n_events``, ``n_batches`` and ``elapsed_seconds`` always count
+    only this call's work, so ``events_per_second`` is its own rate.
     """
 
     probability: np.ndarray
@@ -127,6 +134,7 @@ class ReplayResult:
     n_duplicates: int = 0
     accepted_index: np.ndarray | None = None
     scored: list[ScoredEvent] | None = None
+    resumed_at: int = 0
 
     @property
     def events_per_second(self) -> float:
@@ -581,21 +589,78 @@ class ScoringEngine:
             accepted_index=index,
         )
 
+    def _resume(
+        self, cut: Mapping[str, np.ndarray]
+    ) -> tuple[int, np.ndarray, np.ndarray, int, int]:
+        """Pick a replay up at a restored store's cut: cut the guard's
+        journal and DLQ back to the records they held there (longer logs
+        only; a fresh or shorter log is left as it is), seed the engine
+        and guard counters with the run so far, and return the stream
+        row to resume at, the scores before it, their stream rows and
+        the diverted and duplicate counts."""
+        # Snapshots without a stream position (``serve run``'s, or older
+        # ones) resume at the accepted-row count.
+        start = int(cut["rows_seen"][0]) if "rows_seen" in cut else self.store.events_total
+        guard = self.guard
+        if guard is not None:
+            for log, name in ((guard.journal, "journal_lines"), (guard.dlq, "dlq_lines")):
+                if log is not None and name in cut and log.appended > int(cut[name][0]):
+                    log.truncate(int(cut[name][0]))
+        if "scores" not in cut:
+            # No scores recorded: the result covers the rows past the cut.
+            return start, np.empty(0), np.empty(0, dtype=np.int64), 0, 0
+        scores, diverted = cut["scores"], int(cut["diverted"][0])
+        # Every row before the cut was accepted, diverted or dropped.
+        duplicates = start - len(scores) - diverted
+        self.events_seen += start
+        self.requests_total += len(scores)
+        if guard is not None:
+            from .dlq import FAULT_CLASSES
+
+            stats = guard.stats
+            stats.admitted += len(scores)
+            stats.dead_lettered += diverted
+            stats.duplicates_dropped += duplicates
+            counts = cut["by_fault"].tolist() if "by_fault" in cut else []
+            for fault, count in zip(FAULT_CLASSES, counts):
+                if count:
+                    stats.by_fault[fault] = stats.by_fault.get(fault, 0) + count
+        # A cut without rows was written by a replay aligned from row 0.
+        rows = cut["score_rows"] if "score_rows" in cut else np.arange(len(scores))
+        return start, scores, rows, diverted, duplicates
+
     def _write_snapshot(
-        self, path: str | Path, keep: int | None, rows_seen: int
+        self,
+        path: str | Path,
+        keep: int | None,
+        rows_seen: int,
+        scores: np.ndarray,
+        rows: np.ndarray | None,
+        diverted: int,
     ) -> Path:
-        """One snapshot write: in-place without ``keep``, rotated with.
-        It records ``rows_seen``, the stream rows consumed so far, which
-        is where a restored replay resumes, and the records the guard's
-        journal and DLQ hold by then, which a restore cuts them back to."""
-        journal = self.guard.journal if self.guard is not None else None
-        dlq = self.guard.dlq if self.guard is not None else None
-        write = partial(
-            self.store.snapshot,
-            rows_seen=rows_seen,
-            journal_lines=None if journal is None else journal.appended,
-            dlq_lines=None if dlq is None else dlq.appended,
-        )
+        """One snapshot write, in place without ``keep`` and rotated
+        with, of the store and the cut :meth:`_resume` reads: the stream
+        rows consumed (diverted and duplicate rows included), the scores
+        so far with their stream rows (unless they align 1:1 from row
+        0), the diverted count and, on a guarded replay, the journal and
+        DLQ record counts and the dead letters by fault class."""
+        cut = {
+            "rows_seen": np.array([rows_seen], dtype=np.int64),
+            "scores": scores,
+            "diverted": np.array([diverted], dtype=np.int64),
+        }
+        if rows is not None:
+            cut["score_rows"] = rows
+        guard = self.guard
+        if guard is not None:
+            from .dlq import FAULT_CLASSES
+
+            for name, log in (("journal_lines", guard.journal), ("dlq_lines", guard.dlq)):
+                if log is not None:
+                    cut[name] = np.array([log.appended], dtype=np.int64)
+            by_fault = guard.stats.by_fault
+            cut["by_fault"] = np.array([by_fault.get(f, 0) for f in FAULT_CLASSES], dtype=np.int64)
+        write = partial(self.store.snapshot, cut=cut)
         if keep is None:
             return write(path)
         from .snapshots import write_rotated
@@ -604,9 +669,8 @@ class ScoringEngine:
 
     def replay(
         self,
-        source: DriveDayDataset | str | Path,
+        source: DriveDayDataset | str | Path | Iterable[Mapping[str, np.ndarray]],
         chunk_rows: int = 4096,
-        start_row: int = 0,
         snapshot_every: int | None = None,
         snapshot_path: str | Path | None = None,
         snapshot_keep: int | None = None,
@@ -615,75 +679,95 @@ class ScoringEngine:
         """Stream a trace through the online path, scoring every event.
 
         Events arrive in the stored ``(drive_id, age_days)`` order via
-        :func:`repro.data.iter_drive_day_chunks`; each chunk folds into
-        the store in one vectorized pass and its rows are scored through
-        the same predict kernel as interactive requests.  The returned
-        probabilities align with the source's row order, so they compare
-        elementwise against the offline
-        :meth:`FailurePredictor.predict_proba_records` output — the
-        online/offline parity gate.  On a guarded engine the admission
-        guard may divert or dedup rows, so probabilities cover accepted
-        events only; the result's ``accepted_index`` records which
-        stream rows they came from.
+        :func:`repro.data.iter_drive_day_chunks` (``source`` may also be
+        an iterable of column chunks in that order, such as one shard's
+        sub-stream); each chunk folds into the store in one vectorized
+        pass and its rows are scored through the same predict kernel as
+        interactive requests.  The returned probabilities align with the
+        source's row order, so they compare elementwise against the
+        offline :meth:`FailurePredictor.predict_proba_records` output —
+        the online/offline parity gate.  On a guarded engine the
+        admission guard may divert or dedup rows, so probabilities cover
+        accepted events only; the result's ``accepted_index`` records
+        which stream rows they came from.
 
-        ``start_row`` skips that many leading rows *without ingesting
-        them* — for resuming a killed replay from a restored store (the
-        skipped rows are already folded into the restored state).  The
-        snapshots a replay writes record the stream rows it had consumed,
-        diverted and duplicate rows included
-        (:attr:`FeatureStore.rows_seen`), which is where it resumes.
+        On a store restored from a snapshot the replay resumes at the
+        snapshot's cut (:attr:`FeatureStore.cut`, consumed here): it
+        skips the rows the cut had consumed *without ingesting them*,
+        cuts the guard's logs back to the cut, and starts its result and
+        counters from the cut's, so it returns the whole run (see
+        :class:`ReplayResult`).
 
-        ``snapshot_every``/``snapshot_path`` persist the store every N
-        events (crash-safe serving: a killed replay restores the last
+        ``snapshot_every``/``snapshot_path`` persist the store and the
+        cut every N scored events and, with ``snapshot_path``, once at
+        the end (crash-safe serving: a killed replay restores the last
         snapshot and resumes with identical subsequent scores).  With
         ``snapshot_keep`` each write rotates a new generation
         (``store-g000001.npz``, …) and prunes all but the newest K —
         strictly after the new generation is durable, so retention can
         never delete the only good copy (see
         :mod:`repro.serve.snapshots`).  Without it the single path is
-        overwritten in place, the pre-PR-9 behavior.
+        overwritten in place.  ``progress`` is called with the events
+        this call has scored after every chunk.
         """
         t0 = self.clock()
-        parts: list[np.ndarray] = []
-        index_parts: list[np.ndarray] = []
+        cut, self.store.cut = self.store.cut, None
+        start, head, head_rows, n_diverted, n_duplicates = (
+            (0, np.empty(0), np.empty(0, dtype=np.int64), 0, 0)
+            if cut is None
+            else self._resume(cut)
+        )
+        # Scores align 1:1 with the stream from row 0 until a row is
+        # dropped or the cut's scores are missing: then rows are tracked.
+        aligned = self.guard is None and len(head) == start
+        parts = [head]
+        index_parts = [] if aligned else [head_rows]
         n_events = 0
-        n_diverted = 0
-        n_duplicates = 0
         batches_before = self.batches_total
         since_snapshot = 0
-        to_skip = int(start_row)
-        #: Stream row offset of the current chunk's first row (post-skip).
-        pos = 0
+        pos = 0  # stream row of the current chunk's first row
+        to_skip = start
+
+        def so_far() -> tuple[np.ndarray, np.ndarray | None]:
+            parts[:] = [np.concatenate(parts)]
+            if not aligned:
+                index_parts[:] = [np.concatenate(index_parts)]
+            return parts[0], None if aligned else index_parts[0]
+
+        chunks = (
+            iter_drive_day_chunks(source, chunk_rows=chunk_rows)
+            if isinstance(source, (DriveDayDataset, str, Path))
+            else source
+        )
         with tracing.span("repro.serve.replay") as sp:
-            for chunk in iter_drive_day_chunks(source, chunk_rows=chunk_rows):
-                if to_skip > 0:
-                    have = len(chunk["drive_id"])
-                    if have <= to_skip:
-                        to_skip -= have
-                        continue
+            for chunk in chunks:
+                have = len(chunk["drive_id"])
+                if to_skip >= have:
+                    to_skip -= have
+                    pos += have
+                    continue
+                if to_skip:
                     chunk = {k: v[to_skip:] for k, v in chunk.items()}
-                    to_skip = 0
+                    pos, have, to_skip = pos + to_skip, have - to_skip, 0
                 step = self.absorb(chunk)
                 parts.append(step.probability)
-                if step.accepted_index is not None:
-                    index_parts.append(pos + step.accepted_index)
+                if not aligned:
+                    index = np.arange(have) if step.accepted_index is None else step.accepted_index
+                    index_parts.append(pos + index)
                 n_diverted += step.n_diverted
                 n_duplicates += step.n_duplicates
-                pos += len(chunk["drive_id"])
+                pos += have
                 n_events += step.n_events
                 since_snapshot += step.n_events
-                if (
-                    snapshot_every is not None
-                    and snapshot_path is not None
-                    and since_snapshot >= snapshot_every
-                ):
-                    self._write_snapshot(snapshot_path, snapshot_keep, start_row + pos)
+                if snapshot_path is not None and snapshot_every is not None and since_snapshot >= snapshot_every:
+                    self._write_snapshot(snapshot_path, snapshot_keep, pos, *so_far(), n_diverted)
                     since_snapshot = 0
                 if progress is not None:
                     progress(n_events)
             sp.set(rows_in=n_events, rows_out=n_events)
-        if snapshot_every is not None and snapshot_path is not None:
-            self._write_snapshot(snapshot_path, snapshot_keep, start_row + pos)
+        probability, accepted_index = so_far()
+        if snapshot_path is not None:
+            self._write_snapshot(snapshot_path, snapshot_keep, pos, probability, accepted_index, n_diverted)
         if self.telemetry is not None and self.telemetry.status_path is not None:
             self.heartbeat()
         elapsed = self.clock() - t0
@@ -693,19 +777,14 @@ class ScoringEngine:
             help="Drives with live state in the serving feature store",
         )
         return ReplayResult(
-            probability=np.concatenate(parts) if parts else np.empty(0),
+            probability=probability,
             n_events=n_events,
             n_batches=self.batches_total - batches_before,
             elapsed_seconds=elapsed,
             n_diverted=n_diverted,
             n_duplicates=n_duplicates,
-            accepted_index=(
-                np.concatenate(index_parts)
-                if index_parts
-                else np.empty(0, dtype=np.int64)
-            )
-            if self.guard is not None
-            else None,
+            accepted_index=accepted_index,
+            resumed_at=start,
         )
 
     def replay_events(

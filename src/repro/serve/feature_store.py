@@ -112,18 +112,13 @@ class FeatureStore:
         #: idempotent re-delivery after a restart still classifies as
         #: ``duplicate``, not ``conflict``.
         self.boundary_digests: dict[int, str] = {}
-        #: Stream rows a replay had consumed (diverted and duplicate rows
-        #: included) when it wrote the snapshot this store was restored
-        #: from; ``None`` unless that snapshot records it.  A guarded
-        #: replay resumes there, not at ``events_total``, which counts
-        #: accepted rows only.
-        self.rows_seen: int | None = None
-        #: Records the replay's journal and DLQ held at that same cut
-        #: (``None`` unless the snapshot records them): a restored replay
-        #: cuts longer logs back to them before it re-appends the rows
-        #: past the cut.
-        self.journal_lines: int | None = None
-        self.dlq_lines: int | None = None
+        #: The cut of the snapshot this store was restored from: where the
+        #: replay that wrote it stood (its :data:`CUT_ARRAYS`, as far as
+        #: the snapshot records them; empty for one that records none).
+        #: ``None`` on a fresh store.  :meth:`ScoringEngine.replay
+        #: <repro.serve.engine.ScoringEngine.replay>` resumes from it and
+        #: clears it, so it is consumed once.
+        self.cut: dict[str, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ state
     def __len__(self) -> int:
@@ -303,8 +298,8 @@ class FeatureStore:
             return X
 
     # ------------------------------------------------------------------ persistence
-    #: Arrays every store snapshot must carry (extra arrays — e.g. the
-    #: shard-checkpoint score prefix — are allowed and ignored here).
+    #: Arrays every store snapshot must carry (a replay's cut rides
+    #: along, see :data:`CUT_ARRAYS`).
     REQUIRED_ARRAYS = frozenset(
         {
             "schema_hash",
@@ -316,14 +311,27 @@ class FeatureStore:
         }
     )
 
+    #: Arrays of a replay's cut, written next to the store state by
+    #: :meth:`snapshot` and read back into :attr:`cut` (the engine builds
+    #: and reads their contents).  Snapshots written before scores were
+    #: recorded carry at most the first three.
+    CUT_ARRAYS = (
+        "rows_seen",
+        "journal_lines",
+        "dlq_lines",
+        "scores",
+        "score_rows",
+        "diverted",
+        "by_fault",
+    )
+
     def state_arrays(self) -> dict[str, np.ndarray]:
         """The store state as deterministic named arrays (copies).
 
         Drives are sorted by id, so equal states produce equal arrays.
         This is the single serialization schema: :meth:`snapshot` writes
-        exactly these arrays, and the shard checkpoint embeds them next
-        to its own (score prefix, watermarks) so one atomic NPZ captures
-        a consistent cut of the whole shard.
+        these arrays, and a replay's cut next to them, so one atomic NPZ
+        captures a consistent cut of the whole replay.
         """
         with self._lock:
             ids = np.fromiter(
@@ -351,32 +359,19 @@ class FeatureStore:
             }
 
     def snapshot(
-        self,
-        path: str | Path,
-        rows_seen: int | None = None,
-        journal_lines: int | None = None,
-        dlq_lines: int | None = None,
+        self, path: str | Path, cut: Mapping[str, np.ndarray] | None = None
     ) -> Path:
         """Atomically persist the store state; returns the path.
 
         The snapshot is deterministic: drives are sorted by id and the
         NPZ writer pins zip timestamps, so equal states produce equal
         bytes (the chaos drill compares snapshot digests directly).
-        ``rows_seen`` records a replay's stream position next to the
-        state, and ``journal_lines``/``dlq_lines`` its logs' record
-        counts at that position (see :attr:`rows_seen`,
-        :attr:`journal_lines`).
+        ``cut`` (arrays named in :data:`CUT_ARRAYS`) records where a
+        replay stood next to the state; a restore reads it into
+        :attr:`cut`.
         """
         path = Path(path)
-        arrays = self.state_arrays()
-        for name, value in (
-            ("rows_seen", rows_seen),
-            ("journal_lines", journal_lines),
-            ("dlq_lines", dlq_lines),
-        ):
-            if value is not None:
-                arrays[name] = np.array([value], dtype=np.int64)
-        atomic_save_npz(path, **arrays)
+        atomic_save_npz(path, **self.state_arrays(), **(cut or {}))
         return path
 
     @classmethod
@@ -417,18 +412,19 @@ class FeatureStore:
                 for d, s in zip(ids, arrays["boundary_digest"])
                 if s
             }
-        # Optional too: snapshots that do not record a stream position
-        # resume at events_total, and ones without log counts leave the
-        # logs as they are.
-        for name in ("rows_seen", "journal_lines", "dlq_lines"):
-            if name in arrays:
-                setattr(store, name, int(arrays[name][0]))
+        store.cut = {k: arrays[k] for k in cls.CUT_ARRAYS if k in arrays}
         return store
 
     @classmethod
     def restore(cls, path: str | Path) -> "FeatureStore":
-        """Rebuild a store from a snapshot file; schema-hash checked."""
-        path = Path(path)
+        """Rebuild a store from a snapshot file; schema-hash checked.
+
+        ``path`` is a snapshot file or a rotation base, which resolves
+        to its newest generation (:func:`repro.serve.snapshots.latest_snapshot`).
+        """
+        from .snapshots import latest_snapshot
+
+        path = latest_snapshot(Path(path)) or Path(path)
         try:
             with np.load(path) as payload:
                 arrays = {k: payload[k] for k in payload.files}

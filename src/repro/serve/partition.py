@@ -26,6 +26,7 @@ spread uniformly instead of striping.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ __all__ = [
     "PartitionMap",
     "drive_shard",
     "drive_shards",
-    "split_chunk",
+    "sub_stream",
 ]
 
 #: Bump when the hash function changes — a plane's journals and
@@ -108,30 +109,26 @@ class PartitionMap:
         )
 
 
-def split_chunk(
-    chunk: dict[str, np.ndarray],
+def sub_stream(
+    chunks: Iterable[dict[str, np.ndarray]],
     pmap: PartitionMap,
-    base_row: int = 0,
-) -> list[tuple[dict[str, np.ndarray], np.ndarray]]:
-    """Split one column-chunk into per-shard sub-chunks.
+    shard_id: int,
+    source_rows: list[np.ndarray],
+) -> Iterator[dict[str, np.ndarray]]:
+    """One shard's rows of a column-chunk stream, as column chunks.
 
-    Returns a list of ``(sub_columns, global_rows)`` pairs, one per
-    shard; ``global_rows`` carries each kept row's index in the source
-    stream (``base_row`` + position in chunk), which the merge step uses
-    to restore source-row order.  Row order inside each sub-chunk is the
-    chunk's own order, so a (drive, age)-sorted input stays (drive,
-    age)-sorted per shard.  Empty shards get zero-length pairs.
+    Keeps the rows whose drive hashes to ``shard_id``, in the stream's
+    own order, so a (drive, age)-sorted stream stays (drive, age)-sorted
+    per shard; chunks left empty are skipped.  Appends each kept chunk's
+    source rows (their indices in the whole stream) to ``source_rows``,
+    which the merge step uses to restore source-row order.
     """
-    ids = np.asarray(chunk["drive_id"])
-    shards = pmap.shard_of_array(ids)
-    rows = np.arange(base_row, base_row + ids.shape[0], dtype=np.int64)
-    out: list[tuple[dict[str, np.ndarray], np.ndarray]] = []
-    for s in range(pmap.n_shards):
-        mask = shards == s
-        if mask.all():
-            out.append((dict(chunk), rows))
-        elif not mask.any():
-            out.append(({k: v[:0] for k, v in chunk.items()}, rows[:0]))
-        else:
-            out.append(({k: v[mask] for k, v in chunk.items()}, rows[mask]))
-    return out
+    base = 0
+    for chunk in chunks:
+        ids = np.asarray(chunk["drive_id"])
+        mask = pmap.shard_of_array(ids) == shard_id
+        kept = np.flatnonzero(mask)
+        if kept.size:
+            source_rows.append(base + kept)
+            yield chunk if kept.size == ids.shape[0] else {k: np.asarray(v)[mask] for k, v in chunk.items()}
+        base += ids.shape[0]

@@ -11,7 +11,7 @@ private slice of the feature store, with all shard state rooted in a
     plane/
       plane.json               # partition map, shard count, stream size
       shard-00/
-        checkpoint-g000001.npz # store state + score prefix, rotated
+        checkpoint-g000001.npz # replay snapshot: store state + cut, rotated
         journal.jsonl          # accepted events, admission order
         dlq.jsonl              # diverted events
         status.json            # per-shard heartbeat
@@ -28,18 +28,19 @@ Three invariants make the plane production-grade:
    (:func:`repro.resilience.supervised_iter_tasks` — watchdog, retries,
    circuit breaker).  A killed shard (``REPRO_CHAOS=shard_kill=…``
    SIGKILLs the planned victim mid-stream) is healed on retry by
-   restoring its newest checkpoint — one atomic NPZ holding the feature
-   store *and* the score prefix, a consistent cut — cutting its journal
-   and DLQ back to that cut, and resuming the trace at the checkpoint's
-   stream position.  Output is byte-identical to a never-crashed run.
+   restoring its newest checkpoint — a replay snapshot holding the
+   feature store *and* the replay's cut (scores, stream position, log
+   counts) — and replaying its sub-stream on it, which cuts the journal
+   and DLQ back to the cut and resumes there.  Output and counters are
+   those of a never-crashed run.
 3. **Reshard identity.**  An N→M reshard merges the old shards'
    journals back into canonical ``(drive_id, age_days)`` order — every
    drive lived on exactly one shard, so per-drive order is preserved —
    and replays through the new partition map; byte-identical again.
 
-Each shard task drives its engine with the same chunk step
-(:meth:`~repro.serve.engine.ScoringEngine.absorb`) a serial replay
-runs, so scores, counters and telemetry are booked one way everywhere.
+Each shard task is one :meth:`~repro.serve.engine.ScoringEngine.replay`
+over its sub-stream, so scores, counters, snapshots, restores and
+telemetry are booked one way everywhere.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import json
 import os
 import signal
 import time
-import zipfile
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from multiprocessing import parent_process
 from pathlib import Path
@@ -59,24 +60,22 @@ import numpy as np
 from ..core.predictor import FailurePredictor
 from ..data.dataset import DriveDayDataset
 from ..data.io import iter_drive_day_chunks
-from ..data.npz import atomic_save_npz
 from ..errors import ReproError
 from ..obs import eventlog
-from ..obs.durable import JsonlError, atomic_write, now
+from ..obs.durable import atomic_write, now
 from ..resilience.chaos import planned_shard_kill, shard_spec_from_env
 from .dlq import DeadLetterQueue, EventJournal
 from .engine import ScoringEngine, TelemetryConfig
 from .feature_store import FeatureStore, FeatureStoreError
 from .guard import AdmissionGuard
 from .health import ServeBreaker, load_status
-from .partition import PARTITION_VERSION, PartitionMap
-from .snapshots import latest_snapshot, write_rotated
+from .partition import PARTITION_VERSION, PartitionMap, sub_stream
+from .snapshots import latest_snapshot
 
 __all__ = [
     "SHARD_SCHEMA_VERSION",
     "ShardError",
     "ShardPaths",
-    "ShardCheckpoint",
     "ShardedReplayResult",
     "run_sharded_replay",
     "reshard_plane",
@@ -87,7 +86,7 @@ __all__ = [
 ]
 
 #: Bump when the checkpoint or plane layout changes incompatibly.
-SHARD_SCHEMA_VERSION = 1
+SHARD_SCHEMA_VERSION = 2
 
 #: Per-shard checkpoints default to keeping this many rotated
 #: generations — enough to survive a corrupted newest write.
@@ -139,116 +138,12 @@ class ShardPaths:
         return self.dir / _CHAOS_MARKER
 
 
-# --------------------------------------------------------------------------
-# shard checkpoint: store state + score prefix in one atomic NPZ
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardCheckpoint:
-    """One consistent cut of a shard: store state + everything scored.
-
-    The feature store alone is not enough to fail over — scores produced
-    before a crash die with the process.  A shard checkpoint therefore
-    bundles, in a single atomic NPZ:
-
-    - the store's :meth:`~repro.serve.feature_store.FeatureStore.state_arrays`;
-    - the probability prefix and the global source rows it scored;
-    - the shard's stream position (``rows_seen``, counting diverted
-      and duplicate rows) and the journal/DLQ line counts at the cut —
-      a restore cuts both logs back to them and resumes the trace at
-      ``rows_seen``;
-    - ``clean``: whether the shard had seen zero diverted/duplicate
-      events (kept for the layout; a restore does not read it).
-    """
-
-    path: Path
-    store_arrays: dict[str, np.ndarray]
-    probability: np.ndarray
-    accepted_global: np.ndarray
-    shard_id: int
-    n_shards: int
-    rows_seen: int
-    journal_lines: int
-    dlq_lines: int
-    clean: bool
-
-
-def _save_checkpoint(
-    path: Path,
-    store: FeatureStore,
-    probability: np.ndarray,
-    accepted_global: np.ndarray,
-    shard_id: int,
-    n_shards: int,
-    rows_seen: int,
-    journal_lines: int,
-    dlq_lines: int,
-    clean: bool,
-) -> None:
-    meta = np.array(
-        [
-            SHARD_SCHEMA_VERSION,
-            PARTITION_VERSION,
-            shard_id,
-            n_shards,
-            rows_seen,
-            journal_lines,
-            dlq_lines,
-            1 if clean else 0,
-        ],
-        dtype=np.int64,
-    )
-    atomic_save_npz(
-        path,
-        shard_meta=meta,
-        shard_probability=np.asarray(probability, dtype=np.float64),
-        shard_accepted_global=np.asarray(accepted_global, dtype=np.int64),
-        **store.state_arrays(),
-    )
-
-
-def load_checkpoint(path: str | Path) -> ShardCheckpoint:
-    """Read one checkpoint generation; raises :class:`ShardError`."""
-    path = Path(path)
+def _restore(path: Path) -> FeatureStore:
+    """A shard checkpoint (a replay snapshot) as a restored store."""
     try:
-        with np.load(path) as payload:
-            arrays = {k: payload[k] for k in payload.files}
-    except (OSError, ValueError, zipfile.BadZipFile, EOFError) as exc:
-        raise ShardError(
-            f"shard checkpoint {path} is unreadable ({exc})"
-        ) from None
-    for key in ("shard_meta", "shard_probability", "shard_accepted_global"):
-        if key not in arrays:
-            raise ShardError(f"shard checkpoint {path} is missing {key!r}")
-    meta = arrays["shard_meta"]
-    if int(meta[0]) != SHARD_SCHEMA_VERSION:
-        raise ShardError(
-            f"shard checkpoint {path} has schema v{int(meta[0])}, "
-            f"this build speaks v{SHARD_SCHEMA_VERSION}"
-        )
-    if int(meta[1]) != PARTITION_VERSION:
-        raise ShardError(
-            f"shard checkpoint {path} was partitioned under version "
-            f"{int(meta[1])}, this build speaks {PARTITION_VERSION}"
-        )
-    store_arrays = {
-        k: v
-        for k, v in arrays.items()
-        if not k.startswith("shard_")
-    }
-    return ShardCheckpoint(
-        path=path,
-        store_arrays=store_arrays,
-        probability=arrays["shard_probability"],
-        accepted_global=arrays["shard_accepted_global"],
-        shard_id=int(meta[2]),
-        n_shards=int(meta[3]),
-        rows_seen=int(meta[4]),
-        journal_lines=int(meta[5]),
-        dlq_lines=int(meta[6]),
-        clean=bool(meta[7]),
-    )
+        return FeatureStore.restore(path)
+    except FeatureStoreError as exc:
+        raise ShardError(str(exc)) from None
 
 
 # --------------------------------------------------------------------------
@@ -273,25 +168,32 @@ def _run_shard(shard_id: int) -> dict:
     return run_shard_task(predictor, source, plan, shard_id)
 
 
-def _maybe_kill_point(paths: ShardPaths, shard_id: int, plan: dict) -> int | None:
-    """Planned SIGKILL threshold (in sub-stream rows), or ``None``.
+def _chaos_kill(paths: ShardPaths, shard_id: int, plan: dict) -> Callable[[int], None] | None:
+    """The planned SIGKILL as a replay ``progress`` callback, or ``None``.
 
-    Fires only inside a pool worker process (a serial in-process shard
-    must never SIGKILL the caller) and only once per shard — the
-    on-disk marker written just before the kill gates the retry.
+    Fires once the shard has scored its planned share of events, only
+    inside a pool worker process (a serial in-process shard must never
+    SIGKILL the caller) and only once per shard — the on-disk marker
+    written just before the kill gates the retry.
     """
-    if parent_process() is None:
-        return None
-    if paths.chaos_marker.exists():
+    if parent_process() is None or paths.chaos_marker.exists():
         return None
     spec, seed = shard_spec_from_env()
-    if not spec:
-        return None
-    frac = planned_shard_kill(shard_id, spec, seed)
+    frac = planned_shard_kill(shard_id, spec, seed) if spec else None
     if frac is None:
         return None
     share = max(1, int(plan["n_rows"]) // max(1, int(plan["n_shards"])))
-    return max(1, int(frac * share))
+    kill_at = max(1, int(frac * share))
+
+    def kill(n_events: int) -> None:
+        if n_events >= kill_at:
+            # Mark first (the marker gates the retry), then die without
+            # warning — the supervisor must heal this.
+            with atomic_write(paths.chaos_marker, "w") as fh:
+                fh.write(f"killed after {n_events} scored events\n")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    return kill
 
 
 def run_shard_task(
@@ -305,67 +207,37 @@ def run_shard_task(
     Streams the full trace in stored ``(drive_id, age_days)`` order,
     keeps the rows whose drive hashes to this shard (per-drive order is
     preserved — drive runs are contiguous in the sorted stream, so the
-    filtered sub-stream is still grouped and age-sorted), and feeds them
-    to the shard's guarded engine one chunk step
-    (:meth:`ScoringEngine.absorb`) at a time.
+    sub-stream is still grouped and age-sorted), and replays them
+    through the shard's guarded engine, checkpointing with the replay's
+    own rotated snapshots.
 
     If a checkpoint exists (a previous attempt was killed), the shard
-    **fails over**: restore the newest checkpoint, cut the journal/DLQ
-    back to the checkpoint cut, and resume the trace at the restored
-    stream position, re-scoring only the rows since the cut.  Scores
-    are byte-identical to a never-crashed run in all cases.
+    **fails over**: the replay restored on the newest checkpoint cuts
+    the journal/DLQ back to its cut and resumes there, re-scoring only
+    the rows since the cut.  Scores and counters are those of a
+    never-crashed run in all cases.
     """
     t0 = time.perf_counter()
     n_shards = int(plan["n_shards"])
-    pmap = PartitionMap(n_shards)
     paths = ShardPaths(Path(plan["root"]), shard_id)
     paths.dir.mkdir(parents=True, exist_ok=True)
-    checkpoint_every = plan.get("checkpoint_every")
-    checkpoint_keep = plan.get("checkpoint_keep") or DEFAULT_CHECKPOINT_KEEP
-
-    # ---------------------------------------------------------- failover
-    ckpt_path = latest_snapshot(paths.checkpoint_base)
-    ckpt = load_checkpoint(ckpt_path) if ckpt_path is not None else None
-    if ckpt is not None and (
-        ckpt.shard_id != shard_id or ckpt.n_shards != n_shards
-    ):
-        raise ShardError(
-            f"checkpoint {ckpt.path} belongs to shard {ckpt.shard_id}/"
-            f"{ckpt.n_shards}, not {shard_id}/{n_shards} — refusing to "
-            "restore across a reshard (use a fresh plane directory)"
-        )
-    # Opening the logs drops a torn tail (a kill mid append) before
-    # anything below counts or cuts them.
-    dlq = DeadLetterQueue(paths.dlq)
-    journal = EventJournal(paths.journal)
-    if ckpt is None:
-        # A first attempt killed before any checkpoint may have left
-        # journal/DLQ lines; the retry starts from scratch, so cut both
-        # back to empty or the re-run would record every event twice.
+    checkpoint = latest_snapshot(paths.checkpoint_base)
+    if checkpoint is None:
+        # A first attempt killed before its first checkpoint leaves log
+        # lines no cut covers: the retry starts the shard over.
+        paths.journal.unlink(missing_ok=True)
+        paths.dlq.unlink(missing_ok=True)
         store = FeatureStore()
-        prob_parts: list[np.ndarray] = []
-        idx_parts: list[np.ndarray] = []
-        resume_at = keep_journal = keep_dlq = 0
     else:
-        try:
-            store = FeatureStore.from_arrays(
-                ckpt.store_arrays, source=f"shard checkpoint {ckpt.path}"
-            )
-        except FeatureStoreError as exc:
-            raise ShardError(str(exc)) from None
-        prob_parts = [np.asarray(ckpt.probability, dtype=np.float64)]
-        idx_parts = [np.asarray(ckpt.accepted_global, dtype=np.int64)]
-        resume_at = ckpt.rows_seen
-        # Events past the cut re-append (with identical seq numbers) as
-        # the trace re-supplies them below.
-        keep_journal, keep_dlq = ckpt.journal_lines, ckpt.dlq_lines
-    try:
-        journal.truncate(keep_journal)
-        dlq.truncate(keep_dlq)
-    except JsonlError as exc:
-        raise ShardError(f"shard {shard_id}: {exc}") from None
-
-    guard = AdmissionGuard(store, dlq=dlq, journal=journal, breaker=ServeBreaker())
+        store = _restore(checkpoint)
+    # Opening the logs drops a torn tail (a kill mid append) before the
+    # replay counts or cuts them.
+    guard = AdmissionGuard(
+        store,
+        dlq=DeadLetterQueue(paths.dlq),
+        journal=EventJournal(paths.journal),
+        breaker=ServeBreaker(),
+    )
     engine = ScoringEngine(
         predictor,
         store=store,
@@ -373,106 +245,26 @@ def run_shard_task(
         workers=1,
         telemetry=TelemetryConfig(status_path=paths.status),
     )
-    kill_at = _maybe_kill_point(paths, shard_id, plan)
-
-    # ---------------------------------------------------------- stream
-    chunks = iter_drive_day_chunks(
-        source, chunk_rows=int(plan.get("chunk_rows") or 4096)
+    source_rows: list[np.ndarray] = []
+    chunks = iter_drive_day_chunks(source, chunk_rows=int(plan.get("chunk_rows") or 4096))
+    result = engine.replay(
+        sub_stream(chunks, PartitionMap(n_shards), shard_id, source_rows),
+        snapshot_every=plan.get("checkpoint_every"),
+        snapshot_path=paths.checkpoint_base,
+        snapshot_keep=plan.get("checkpoint_keep") or DEFAULT_CHECKPOINT_KEEP,
+        progress=_chaos_kill(paths, shard_id, plan),
     )
-    n_batches = 0
-    accepted_since_ckpt = 0
-    base_row = 0  # global row of the current chunk's first row
-    sub_pos = 0  # sub-stream rows seen so far (including skipped)
-
-    def write_checkpoint() -> None:
-        write_rotated(
-            paths.checkpoint_base,
-            lambda p: _save_checkpoint(
-                p,
-                store,
-                np.concatenate(prob_parts) if prob_parts else np.empty(0),
-                np.concatenate(idx_parts)
-                if idx_parts
-                else np.empty(0, dtype=np.int64),
-                shard_id,
-                n_shards,
-                sub_pos,
-                journal.appended,
-                dlq.appended,
-                clean=(
-                    dlq.appended == 0
-                    and guard.stats.duplicates_dropped == 0
-                    and (ckpt is None or ckpt.clean)
-                ),
-            ),
-            keep=checkpoint_keep,
-        )
-
-    for chunk in chunks:
-        ids = np.asarray(chunk["drive_id"])
-        n_chunk = ids.shape[0]
-        mask = pmap.shard_of_array(ids) == shard_id
-        length = int(mask.sum())
-        if length == 0:
-            base_row += n_chunk
-            continue
-        rows = np.arange(base_row, base_row + n_chunk, dtype=np.int64)
-        base_row += n_chunk
-        if length == n_chunk:
-            sub = dict(chunk)
-            g = rows
-        else:
-            sub = {k: np.asarray(v)[mask] for k, v in chunk.items()}
-            g = rows[mask]
-        lo, hi = sub_pos, sub_pos + length
-        sub_pos = hi
-        if hi <= resume_at:
-            continue
-        if lo < resume_at:
-            cut = resume_at - lo
-            sub = {k: v[cut:] for k, v in sub.items()}
-            g = g[cut:]
-        step = engine.absorb(sub)
-        if step.n_events:
-            prob_parts.append(step.probability)
-            idx_parts.append(g[step.accepted_index])
-            n_batches += 1
-            accepted_since_ckpt += step.n_events
-        if (
-            checkpoint_every is not None
-            and accepted_since_ckpt >= checkpoint_every
-        ):
-            write_checkpoint()
-            accepted_since_ckpt = 0
-        if kill_at is not None and hi >= kill_at:
-            # Chaos: mark first (the marker gates the retry), then die
-            # without warning — the supervisor must heal this.
-            with atomic_write(paths.chaos_marker, "w") as fh:
-                fh.write(f"killed at sub-stream row {hi}\n")
-            os.kill(os.getpid(), signal.SIGKILL)
-
-    # Final checkpoint: makes a later restore (or resumed plane) read
-    # one NPZ, however long the shard lived.
-    write_checkpoint()
-
-    probability = (
-        np.concatenate(prob_parts) if prob_parts else np.empty(0)
-    )
-    accepted_global = (
-        np.concatenate(idx_parts)
-        if idx_parts
-        else np.empty(0, dtype=np.int64)
-    )
-    n_accepted = int(probability.shape[0])
+    rows = np.concatenate(source_rows) if source_rows else np.empty(0, dtype=np.int64)
+    n_accepted = int(result.probability.shape[0])
     status = engine.status()
     status["shard"] = {
         "shard_id": shard_id,
         "n_shards": n_shards,
         "partition_version": PARTITION_VERSION,
-        "rows_seen": sub_pos,
+        "rows_seen": len(rows),
         "accepted": n_accepted,
-        "restored": ckpt is not None,
-        "resumed_at": resume_at,
+        "restored": checkpoint is not None,
+        "resumed_at": result.resumed_at,
     }
     with atomic_write(paths.status, "w") as fh:
         fh.write(json.dumps(status, indent=2, sort_keys=True) + "\n")
@@ -480,23 +272,20 @@ def run_shard_task(
         "serve.shard.done",
         f"shard {shard_id}/{n_shards} scored {n_accepted} events",
         shard_id=shard_id,
-        restored=ckpt is not None,
-        resumed_at=resume_at,
+        restored=checkpoint is not None,
+        resumed_at=result.resumed_at,
     )
     return {
         "shard_id": shard_id,
-        "probability": probability,
-        "accepted_global": accepted_global,
-        "rows_seen": sub_pos,
-        "n_batches": n_batches,
-        #: Cumulative across attempts: the DLQ file survives failover,
-        #: and every sub-stream row was accepted, dead-lettered or
-        #: dropped as a duplicate.
-        "n_diverted": dlq.appended,
-        "n_duplicates": sub_pos - n_accepted - dlq.appended,
+        "probability": result.probability,
+        "accepted_global": rows[result.accepted_index],
+        "rows_seen": len(rows),
+        "n_batches": result.n_batches,
+        "n_diverted": result.n_diverted,
+        "n_duplicates": result.n_duplicates,
         "n_drives": store.n_drives,
-        "restored": ckpt is not None,
-        "resumed_at": resume_at,
+        "restored": checkpoint is not None,
+        "resumed_at": result.resumed_at,
         "elapsed_seconds": time.perf_counter() - t0,
     }
 
@@ -561,6 +350,17 @@ def read_plane_manifest(root: str | Path) -> dict:
         raise ShardError(f"{path} is unreadable: {exc}") from None
     if not isinstance(body, dict) or "n_shards" not in body:
         raise ShardError(f"{path} is not a plane manifest")
+    # Every cross-run reader comes through here: a plane written under
+    # another layout or partition hash is refused, never re-read.
+    if body.get("schema_version") != SHARD_SCHEMA_VERSION:
+        raise ShardError(
+            f"{path} has plane schema v{body.get('schema_version')}, "
+            f"this build speaks v{SHARD_SCHEMA_VERSION}"
+        )
+    try:
+        PartitionMap.from_dict(body["partition"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ShardError(f"{path}: {exc}") from None
     return body
 
 
@@ -674,41 +474,12 @@ def run_sharded_replay(
     )
 
 
-def plane_scores(root: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Merged ``(probability, accepted_index)`` of a completed plane.
-
-    Reads each shard's newest checkpoint (every completed shard writes a
-    final one) and merges by global row — the same merge
-    :func:`run_sharded_replay` performs in memory, reconstructed from
-    disk.  The reshard parity gate compares against this.
-    """
-    manifest = read_plane_manifest(root)
-    prob_parts: list[np.ndarray] = []
-    idx_parts: list[np.ndarray] = []
-    for shard_id in range(int(manifest["n_shards"])):
-        paths = ShardPaths(Path(root), shard_id)
-        ckpt_path = latest_snapshot(paths.checkpoint_base)
-        if ckpt_path is None:
-            raise ShardError(
-                f"shard {shard_id} of {root} has no checkpoint — the plane "
-                "never completed a sharded replay"
-            )
-        ckpt = load_checkpoint(ckpt_path)
-        prob_parts.append(np.asarray(ckpt.probability, dtype=np.float64))
-        idx_parts.append(np.asarray(ckpt.accepted_global, dtype=np.int64))
-    probability = np.concatenate(prob_parts)
-    index = np.concatenate(idx_parts)
-    order = np.argsort(index, kind="stable")
-    return probability[order], index[order]
-
-
-# --------------------------------------------------------------------------
-# resharding: N -> M through the journals
-# --------------------------------------------------------------------------
-
-
-def merged_plane_events(root: str | Path) -> list[dict]:
-    """All accepted events of a plane, in canonical trace order.
+def _journal_merge(
+    root: str | Path, values: Callable[[int, list[dict]], Any]
+) -> list:
+    """Pair every journal record of each shard with one item of
+    ``values(shard_id, records)`` and return the items in canonical
+    ``(drive_id, age_days, seq)`` order of their records.
 
     Each drive lived on exactly one shard, and its journal records that
     drive's events in admission (= stream) order; sorting the union by
@@ -718,23 +489,58 @@ def merged_plane_events(root: str | Path) -> list[dict]:
     suite pins).
     """
     manifest = read_plane_manifest(root)
-    keyed: list[tuple[int, int, int, dict]] = []
+    keyed: list[tuple[int, int, int, Any]] = []
     for shard_id in range(int(manifest["n_shards"])):
-        paths = ShardPaths(Path(root), shard_id)
-        if not paths.journal.exists():
-            continue
-        for body in EventJournal.read(paths.journal):
+        journal = ShardPaths(Path(root), shard_id).journal
+        records = EventJournal.read(journal) if journal.exists() else []
+        for body, value in zip(records, values(shard_id, records), strict=True):
             event = body["event"]
-            keyed.append(
-                (
-                    int(event["drive_id"]),
-                    int(event["age_days"]),
-                    int(body["seq"]),
-                    event,
-                )
-            )
+            keyed.append((int(event["drive_id"]), int(event["age_days"]), int(body["seq"]), value))
     keyed.sort(key=lambda item: item[:3])
-    return [event for _, _, _, event in keyed]
+    return [value for *_, value in keyed]
+
+
+def plane_scores(root: str | Path) -> np.ndarray:
+    """Merged probabilities of a completed plane, in canonical order.
+
+    Reads each shard's scores from its newest checkpoint (every
+    completed shard writes a final one) and merges them in journal
+    order, one score per journal record — for a trace in stored order,
+    the merge :func:`run_sharded_replay` performs in memory,
+    reconstructed from disk.  The reshard parity gate compares against
+    this.  A shard whose journal and scores disagree in length is
+    refused.
+    """
+
+    def scores(shard_id: int, records: list[dict]) -> np.ndarray:
+        checkpoint = latest_snapshot(ShardPaths(Path(root), shard_id).checkpoint_base)
+        if checkpoint is None:
+            raise ShardError(
+                f"shard {shard_id} of {root} has no checkpoint — the plane "
+                "never completed a sharded replay"
+            )
+        cut = _restore(checkpoint).cut
+        probability = cut.get("scores", np.empty(0))
+        if len(probability) != len(records):
+            raise ShardError(
+                f"shard {shard_id} of {root}: checkpoint {checkpoint} holds "
+                f"{len(probability)} score(s) for {len(records)} journal "
+                "record(s) — the plane is inconsistent"
+            )
+        return probability
+
+    return np.asarray(_journal_merge(root, scores), dtype=np.float64)
+
+
+# --------------------------------------------------------------------------
+# resharding: N -> M through the journals
+# --------------------------------------------------------------------------
+
+
+def merged_plane_events(root: str | Path) -> list[dict]:
+    """All accepted events of a plane, in canonical trace order (see
+    :func:`_journal_merge`)."""
+    return _journal_merge(root, lambda _, records: [body["event"] for body in records])
 
 
 def _dataset_from_events(events: list[dict]) -> DriveDayDataset:

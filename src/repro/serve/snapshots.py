@@ -15,10 +15,13 @@ writing generation ``g`` still leaves ``g-1`` restorable:
   failover restores from.
 
 Rotation is also the shard plane's *compaction* story: a shard
-checkpoint records its stream position at write time, so restoring
-from the newest generation re-scores only the rows after it — the
-scoring a restore redoes is bounded by the checkpoint cadence, not by
-the shard's lifetime.
+checkpoint is a replay snapshot, which records the replay's cut (its
+stream position, scores and counts) at write time, so restoring from
+the newest generation re-scores only the rows after it — the scoring a
+restore redoes is bounded by the checkpoint cadence, not by the shard's
+lifetime.  :meth:`repro.serve.feature_store.FeatureStore.restore`
+resolves a rotation base through :func:`latest_snapshot`, so every
+``--restore`` accepts one.
 """
 
 from __future__ import annotations

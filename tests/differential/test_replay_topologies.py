@@ -14,13 +14,16 @@ the topology has one) and its diverted/duplicate counts:
 - ``replay_events`` over the trace's events, with size-bound batches;
 - the in-process sharded plane (``run_sharded_replay``).
 
-Two restore properties follow: a shard task rerun from its previous
-checkpoint, as the retry after a kill runs it, and a replay restored
-from a mid-stream snapshot both reproduce the uninterrupted run.
+Three restore properties follow: a shard task rerun from its previous
+checkpoint, as the retry after a kill runs it, a replay restored from a
+mid-stream snapshot, and a replay restored from a snapshot of an
+already restored replay all reproduce the uninterrupted run: its
+scores, rows and counts, and for the shard its status counters.
 """
 
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -30,7 +33,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FailurePredictor
-from repro.data.dataset import DriveDayDataset
 from repro.data.io import iter_drive_days
 from repro.reliability import FaultInjector
 from repro.serve import (
@@ -43,7 +45,8 @@ from repro.serve import (
     list_generations,
     run_sharded_replay,
 )
-from repro.serve.shard import load_checkpoint, run_shard_task
+from repro.serve.partition import PartitionMap
+from repro.serve.shard import run_shard_task
 from repro.simulator import FleetConfig, simulate_fleet
 
 FAULTS = ("duplicate_rows", "out_of_order", "value_spikes", "missing_days")
@@ -182,17 +185,24 @@ def test_a_rerun_shard_task_reproduces_its_killed_attempt(
             "checkpoint_every": checkpoint_every,
             "n_rows": len(trace),
         }
+        ids = np.asarray(trace["drive_id"])
         for shard in sharded.shards:
-            final = latest_snapshot(ShardPaths(Path(root), shard["shard_id"]).checkpoint_base)
-            reference = load_checkpoint(final)
+            paths = ShardPaths(Path(root), shard["shard_id"])
+            final = latest_snapshot(paths.checkpoint_base)
+            reference = FeatureStore.restore(final).cut
+            status = json.loads(paths.status.read_text())
             final.unlink()
             rerun = run_shard_task(predictor, trace, task_plan, shard["shard_id"])
-            assert rerun["probability"].tobytes() == reference.probability.tobytes()
-            assert np.array_equal(rerun["accepted_global"], reference.accepted_global)
+            own = np.flatnonzero(PartitionMap(n_shards).shard_of_array(ids) == shard["shard_id"])
+            assert rerun["probability"].tobytes() == reference["scores"].tobytes()
+            assert np.array_equal(rerun["accepted_global"], own[reference["score_rows"]])
             assert (rerun["n_diverted"], rerun["n_duplicates"]) == (
                 shard["n_diverted"],
                 shard["n_duplicates"],
             )
+            again = json.loads(paths.status.read_text())
+            for key in ("guard", "events_seen", "requests_total"):
+                assert again[key] == status[key]
 
 
 @settings(
@@ -223,18 +233,41 @@ def test_a_restored_replay_resumes_where_its_snapshot_was_cut(
         )
         gens = list_generations(base)
         store = FeatureStore.restore(gens[pick % len(gens)][1])
-    start, absorbed = store.rows_seen, store.events_total
-    resumed = _engine(predictor, store=store).replay(
-        trace, chunk_rows=chunk_b, start_row=start
-    )
-    # What the uninterrupted run made of the rows before the cut.
-    head = _engine(predictor).replay(
-        DriveDayDataset({k: v[:start] for k, v in trace.items()}, check_sorted=False),
-        chunk_rows=chunk_a,
-    )
-    k = head.probability.shape[0]
-    assert k == absorbed
-    assert resumed.probability.tobytes() == full.probability[k:].tobytes()
-    assert np.array_equal(start + resumed.accepted_index, full.accepted_index[k:])
-    assert resumed.n_diverted == full.n_diverted - head.n_diverted
-    assert resumed.n_duplicates == full.n_duplicates - head.n_duplicates
+    resumed = _engine(predictor, store=store).replay(trace, chunk_rows=chunk_b)
+    _assert_agrees(resumed, full)
+
+
+@settings(
+    max_examples=6,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    plan=fault_plans,
+    chunks=st.tuples(st.integers(1, 900), st.integers(1, 900), st.integers(1, 900)),
+    snapshot_every=st.tuples(st.integers(20, 600), st.integers(20, 600)),
+    picks=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+)
+def test_a_twice_restored_replay_still_returns_the_whole_run(
+    fleet, plan, chunks, snapshot_every, picks
+):
+    # Restore a drawn generation, replay it with snapshots into a second
+    # base, restore a drawn generation of that, and replay again.
+    records, predictor = fleet
+    trace = _trace(records, *plan)
+    full = _engine(predictor).replay(trace, chunk_rows=chunks[0])
+    store = FeatureStore()
+    with tempfile.TemporaryDirectory() as root:
+        for k, name in enumerate(("first.npz", "second.npz")):
+            base = Path(root) / name
+            _engine(predictor, store=store).replay(
+                trace,
+                chunk_rows=chunks[k],
+                snapshot_every=snapshot_every[k],
+                snapshot_path=base,
+                snapshot_keep=10**6,
+            )
+            gens = list_generations(base)
+            store = FeatureStore.restore(gens[picks[k] % len(gens)][1])
+    resumed = _engine(predictor, store=store).replay(trace, chunk_rows=chunks[2])
+    _assert_agrees(resumed, full)

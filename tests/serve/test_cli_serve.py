@@ -1281,8 +1281,8 @@ class TestSnapshotRetention:
         # A guarded replay drops rows (re-deliveries, schema faults), so
         # it consumes more stream rows than its store absorbs.  Restored
         # from a mid-stream snapshot, it must resume at the first row it
-        # had not consumed: its scores, DLQ entries and counts are then
-        # the uninterrupted run's tail.
+        # had not consumed and return the whole run: its scores and counts
+        # are the uninterrupted run's, its new DLQ entries that run's tail.
         from repro.data.dataset import DriveDayDataset
         from repro.data.io import load_dataset_npz, save_dataset_npz
         from repro.serve import DeadLetterQueue, FeatureStore
@@ -1330,11 +1330,11 @@ class TestSnapshotRetention:
         counts, scores, dlq = replay("resumed", "--restore", str(cut))
         capsys.readouterr()
         assert counts["skipped"] == 400
-        assert scores == full[1][absorbed:]
+        assert scores == full[1]
         assert dlq == full[2][1:]
-        assert counts["events"] == full[0]["events"] - absorbed
-        assert counts["diverted"] == full[0]["diverted"] - 1 == 1
-        assert counts["duplicates"] == full[0]["duplicates"] - 1 == 1
+        assert counts["events"] == full[0]["events"] == n + 2 - 4
+        assert counts["diverted"] == full[0]["diverted"] == 2
+        assert counts["duplicates"] == full[0]["duplicates"] == 2
 
     def test_guarded_restore_into_the_same_logs_does_not_duplicate_them(
         self, served, tmp_path, capsys
@@ -1374,8 +1374,8 @@ class TestSnapshotRetention:
         at_cut = FeatureStore.restore(cut)
         full_journal, full_dlq = journal.read_bytes(), dlq.read_bytes()
         # The cut falls between log records on both logs.
-        assert 0 < at_cut.journal_lines < full_journal.count(b"\n")
-        assert 0 < at_cut.dlq_lines < full_dlq.count(b"\n")
+        assert 0 < int(at_cut.cut["journal_lines"][0]) < full_journal.count(b"\n")
+        assert 0 < int(at_cut.cut["dlq_lines"][0]) < full_dlq.count(b"\n")
 
         resumed_journal, resumed_dlq = tmp_path / "j2.jsonl", tmp_path / "d2.jsonl"
         resumed_journal.write_bytes(full_journal)
@@ -1384,6 +1384,35 @@ class TestSnapshotRetention:
         capsys.readouterr()
         assert resumed_journal.read_bytes() == full_journal
         assert resumed_dlq.read_bytes() == full_dlq
+
+    def test_run_restore_accepts_a_rotation_base(
+        self, served, tmp_path, monkeypatch, capsys
+    ):
+        # `serve run --restore` resolves a --snapshot-keep base to its
+        # newest generation, as `serve replay --restore` does.
+        base = tmp_path / "snap.npz"
+        assert main(
+            [
+                "serve", "replay", "--trace", str(served["fleet"]),
+                "--model", str(served["model"]), "--snapshot", str(base),
+                "--snapshot-every", "2000", "--snapshot-keep", "2",
+                "--no-manifest",
+            ]
+        ) == 0
+        assert not base.exists()
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        code = main(
+            [
+                "serve", "run", "--model", str(served["model"]),
+                "--restore", str(base), "--snapshot", str(tmp_path / "out.npz"),
+            ]
+        )
+        assert code == 0
+        from repro.serve import FeatureStore, latest_snapshot
+
+        newest = FeatureStore.restore(latest_snapshot(base))
+        assert FeatureStore.restore(tmp_path / "out.npz").events_total == newest.events_total > 0
 
     def test_replay_snapshot_keep_rotates_and_restores(
         self, served, tmp_path, capsys

@@ -303,11 +303,13 @@ class TestCrashRecovery:
         restored_store.ingest_columns(head)
         restored_store.snapshot(tmp_path / "mid.npz")
         resumed = FeatureStore.restore(tmp_path / "mid.npz")
+        # The snapshot records no cut: the replay resumes at the store's
+        # events_total and its result covers the rows past it.
         result = ScoringEngine(predictor, store=resumed).replay(
             serve_trace.records,
             chunk_rows=999,
-            start_row=resumed.events_total,
         )
+        assert result.resumed_at == cut_target
         assert np.array_equal(
             result.probability, offline_probs[cut_target:]
         )
@@ -317,8 +319,8 @@ class TestCrashRecovery:
     ):
         # A real replay process is SIGKILLed mid-stream (it kills itself
         # at a deterministic event count, so no timing races); the parent
-        # restores the last snapshot and resumes.  The resumed scores
-        # must equal the offline pipeline's tail bit-for-bit.
+        # restores the last snapshot and resumes.  The resumed result
+        # must equal the offline pipeline's whole run bit-for-bit.
         records_path = tmp_path / "records.npz"
         model_path = tmp_path / "model.pkl"
         snap_path = tmp_path / "store.npz"
@@ -362,9 +364,9 @@ class TestCrashRecovery:
         result = ScoringEngine(predictor, store=restored).replay(
             records_path,
             chunk_rows=713,
-            start_row=start,
         )
-        assert np.array_equal(result.probability, offline_probs[start:])
+        assert result.resumed_at == start
+        assert np.array_equal(result.probability, offline_probs)
 
 
 @fork_only

@@ -27,7 +27,7 @@ from repro.serve.partition import (
     PartitionMap,
     drive_shard,
     drive_shards,
-    split_chunk,
+    sub_stream,
 )
 
 drive_ids = st.integers(min_value=0, max_value=2**62)
@@ -145,19 +145,29 @@ class TestReshardOrder:
             assert len(np.unique(shards[ids == did])) == 1
 
 
-class TestSplitChunk:
-    @given(sorted_streams(), shard_counts, st.integers(0, 1000))
+class TestSubStream:
+    @given(sorted_streams(), shard_counts, st.integers(1, 50))
     @settings(max_examples=50, deadline=None)
-    def test_split_covers_chunk_with_global_rows(self, stream, n, base):
+    def test_sub_streams_cover_the_stream_in_source_order(self, stream, n, chunk_rows):
         ids, ages = stream
-        chunk = {"drive_id": ids, "age_days": ages}
-        parts = split_chunk(chunk, PartitionMap(n), base_row=base)
+        chunks = [
+            {"drive_id": ids[lo : lo + chunk_rows], "age_days": ages[lo : lo + chunk_rows]}
+            for lo in range(0, len(ids), chunk_rows)
+        ]
         seen = []
-        for sub, rows in parts:
-            assert len(sub["drive_id"]) == len(rows)
-            # Global rows point back at the chunk's source rows.
-            np.testing.assert_array_equal(
-                sub["drive_id"], ids[rows - base]
-            )
-            seen.extend(rows.tolist())
-        assert sorted(seen) == list(range(base, base + len(ids)))
+        for shard_id in range(n):
+            rows: list[np.ndarray] = []
+            subs = list(sub_stream(chunks, PartitionMap(n), shard_id, rows))
+            got = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+            # Global rows follow source order and point back at the
+            # source rows the sub-stream carries.
+            assert np.all(np.diff(got) > 0)
+            for key, column in (("drive_id", ids), ("age_days", ages)):
+                carried = [sub[key] for sub in subs]
+                np.testing.assert_array_equal(
+                    np.concatenate(carried) if carried else column[:0], column[got]
+                )
+            assert np.all(drive_shards(ids[got], n) == shard_id)
+            seen.extend(got.tolist())
+        # Every source row lands on exactly one shard.
+        assert sorted(seen) == list(range(len(ids)))

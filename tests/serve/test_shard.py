@@ -11,16 +11,16 @@ What is pinned here, in order of importance:
   byte-identical to a never-crashed run;
 - **reshard identity**: replaying an N-shard plane's journals through an
   M-shard partition map reproduces the same bytes;
-- checkpoint round-trip, plane manifest/status plumbing, and the
-  failover cut-back (:meth:`repro.obs.durable.JsonlLog.truncate`),
-  including failover over a torn journal tail.
+- the checkpoint's cut round trip and every refusal of an unusable
+  checkpoint or plane, plane manifest/status plumbing, and the failover
+  cut-back (:meth:`repro.obs.durable.JsonlLog.truncate`), including
+  failover over a torn journal tail.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -40,12 +40,7 @@ from repro.serve import (
 )
 from repro.serve.health import status_exit_code
 from repro.serve.partition import PartitionMap
-from repro.serve.shard import (
-    ShardPaths,
-    _save_checkpoint,
-    load_checkpoint,
-    run_shard_task,
-)
+from repro.serve.shard import SHARD_SCHEMA_VERSION, ShardPaths, run_shard_task
 from repro.serve.snapshots import latest_snapshot
 
 fork_only = pytest.mark.skipif(
@@ -113,9 +108,7 @@ class TestShardCountIdentity:
         run_sharded_replay(
             predictor, serve_trace.records, 3, plane, chunk_rows=512
         )
-        probs, idx = plane_scores(plane)
-        assert np.array_equal(probs, offline_probs)
-        assert np.array_equal(idx, np.arange(len(offline_probs)))
+        assert plane_scores(plane).tobytes() == offline_probs.tobytes()
 
     def test_rejects_zero_shards(self, tmp_path, serve_trace, predictor):
         with pytest.raises(ShardError, match="n_shards"):
@@ -188,18 +181,20 @@ class TestHealedShardCounts:
     def test_kill_keeps_the_duplicates_earlier_attempts_dropped(
         self, tmp_path, serve_trace, predictor, monkeypatch
     ):
-        # The third row of each shard's first drive arrives twice; both
-        # copies are dropped before the checkpoint the killed shards
-        # restore, and the healed plane must still count them.
+        # The third row of each shard's first drive arrives twice and its
+        # sixth row fails the schema; all of it lands before the
+        # checkpoint the killed shards restore, and the healed plane must
+        # still count it — in its result and in every shard's status.
         records = serve_trace.records
         ids = np.asarray(records["drive_id"])
         shard_of = PartitionMap(2).shard_of_array(ids)
         again = [int(np.flatnonzero(shard_of == k)[2]) for k in range(2)]
         order = np.insert(np.arange(len(ids)), np.add(again, 1), again)
-        trace = DriveDayDataset(
-            {k: np.asarray(v)[order] for k, v in records.items()},
-            check_sorted=False,
-        )
+        cols = {k: np.array(v)[order] for k, v in records.items()}
+        shard_of = PartitionMap(2).shard_of_array(cols["drive_id"])
+        bad = [int(np.flatnonzero(shard_of == k)[5]) for k in range(2)]
+        cols["write_count"][bad] = -1
+        trace = DriveDayDataset(cols, check_sorted=False)
         plain = run_sharded_replay(
             predictor, trace, 2, tmp_path / "plain", **TAIL_KILL_KW
         )
@@ -209,12 +204,24 @@ class TestHealedShardCounts:
             predictor, trace, 2, tmp_path / "healed", **TAIL_KILL_KW
         )
         assert healed.n_restored == 2
-        # Sub-stream rows 2 and 3 hold the two copies: before every cut.
-        assert all(s["resumed_at"] > 3 for s in healed.shards)
-        assert (plain.n_diverted, plain.n_duplicates) == (0, 2)
-        assert (healed.n_diverted, healed.n_duplicates) == (0, 2)
+        # Sub-stream rows 2, 3 and 5 hold the faults: before every cut.
+        assert all(s["resumed_at"] > 5 for s in healed.shards)
+        assert (plain.n_diverted, plain.n_duplicates) == (2, 2)
+        assert (healed.n_diverted, healed.n_duplicates) == (2, 2)
         assert healed.probability.tobytes() == plain.probability.tobytes()
         assert np.array_equal(healed.accepted_index, plain.accepted_index)
+        for shard_id in range(2):
+            want, got = (
+                json.loads(ShardPaths(tmp_path / name, shard_id).status.read_text())
+                for name in ("plain", "healed")
+            )
+            assert got["guard"] == want["guard"]
+            assert got["guard"]["by_fault"] == {"schema": 1}
+            for key in ("events_seen", "requests_total"):
+                assert got[key] == want[key]
+        rollup = plane_status(tmp_path / "healed")
+        assert rollup["events_seen"] == len(order)
+        assert rollup["guard"]["admitted"] == len(order) - 4
 
 
 class TestReshard:
@@ -258,44 +265,78 @@ class TestReshard:
 
 
 class TestCheckpoint:
-    def test_round_trip(self, tmp_path, serve_trace):
-        store = FeatureStore()
-        store.ingest_columns(
-            {k: np.asarray(v)[:16] for k, v in serve_trace.records.items()}
+    def test_round_trip(self, tmp_path, serve_trace, predictor):
+        # A shard checkpoint is a replay snapshot: the store state and
+        # the replay's cut (position, log counts, scores, their rows,
+        # dead letters by fault) come back from the final generation.
+        plane = tmp_path / "plane"
+        result = run_sharded_replay(
+            predictor, serve_trace.records, 2, plane, chunk_rows=512
         )
-        path = tmp_path / "ck.npz"
-        _save_checkpoint(
-            path,
-            store,
-            probability=np.array([0.25, 0.5]),
-            accepted_global=np.array([7, 9], dtype=np.int64),
-            shard_id=1,
-            n_shards=4,
-            rows_seen=12,
-            journal_lines=2,
-            dlq_lines=0,
-            clean=True,
-        )
-        ck = load_checkpoint(path)
-        assert (ck.shard_id, ck.n_shards) == (1, 4)
-        assert (ck.rows_seen, ck.journal_lines, ck.dlq_lines) == (12, 2, 0)
-        assert ck.clean is True
-        np.testing.assert_array_equal(ck.probability, [0.25, 0.5])
-        np.testing.assert_array_equal(ck.accepted_global, [7, 9])
-        restored = FeatureStore.from_arrays(ck.store_arrays)
-        assert restored.state_arrays().keys() == store.state_arrays().keys()
-        for key, arr in store.state_arrays().items():
-            np.testing.assert_array_equal(restored.state_arrays()[key], arr)
+        for shard in result.shards:
+            paths = ShardPaths(plane, shard["shard_id"])
+            store = FeatureStore.restore(paths.checkpoint_base)
+            cut = store.cut
+            n = shard["rows_seen"]
+            assert int(cut["rows_seen"][0]) == n == store.events_total
+            assert int(cut["journal_lines"][0]) == n
+            assert int(cut["dlq_lines"][0]) == 0
+            assert int(cut["diverted"][0]) == 0
+            assert not cut["by_fault"].any()
+            np.testing.assert_array_equal(cut["score_rows"], np.arange(n))
+            assert len(cut["scores"]) == n
 
-    def test_unreadable_checkpoint_raises_shard_error(self, tmp_path):
-        bad = tmp_path / "bad.npz"
+    def test_unreadable_checkpoint_raises_shard_error(
+        self, tmp_path, serve_trace, predictor
+    ):
+        plan = {"root": str(tmp_path), "n_shards": 1, "n_rows": 1}
+        bad = ShardPaths(tmp_path, 0).checkpoint_base
+        bad.parent.mkdir(parents=True)
         bad.write_bytes(b"not an npz")
         with pytest.raises(ShardError, match="unreadable"):
-            load_checkpoint(bad)
+            run_shard_task(predictor, serve_trace.records, plan, 0)
 
-    def test_missing_checkpoint_raises_shard_error(self, tmp_path):
-        with pytest.raises(ShardError, match="unreadable"):
-            load_checkpoint(tmp_path / "absent.npz")
+    def test_foreign_feature_schema_raises_shard_error(
+        self, tmp_path, serve_trace, predictor
+    ):
+        plane = tmp_path / "plane"
+        run_sharded_replay(predictor, serve_trace.records, 1, plane)
+        path = ShardPaths(plane, 0).checkpoint_base
+        with np.load(latest_snapshot(path)) as payload:
+            arrays = {k: payload[k] for k in payload.files}
+        arrays["schema_hash"] = np.frombuffer(b"0" * 64, dtype=np.uint8)
+        with open(latest_snapshot(path), "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ShardError, match="feature schema"):
+            plane_scores(plane)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"schema_version": SHARD_SCHEMA_VERSION - 1},
+            {"partition": {"n_shards": 2, "version": 99}},
+        ],
+    )
+    def test_foreign_plane_is_refused(
+        self, tmp_path, serve_trace, predictor, edit
+    ):
+        plane = tmp_path / "plane"
+        run_sharded_replay(predictor, serve_trace.records, 2, plane)
+        path = plane / "plane.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        for read in (read_plane_manifest, plane_scores, merged_plane_events):
+            with pytest.raises(ShardError):
+                read(plane)
+
+    def test_journal_and_score_count_mismatch_is_refused(
+        self, tmp_path, serve_trace, predictor
+    ):
+        plane = tmp_path / "plane"
+        run_sharded_replay(predictor, serve_trace.records, 2, plane)
+        journal = ShardPaths(plane, 1).journal
+        journal.write_bytes(b"".join(journal.read_bytes().splitlines(keepends=True)[:-1]))
+        with pytest.raises(ShardError, match="journal"):
+            plane_scores(plane)
 
 
 class TestTruncateJsonl:
@@ -352,7 +393,7 @@ class TestTornJournalFailover:
         }
         paths = ShardPaths(plane, 0)
         final = latest_snapshot(paths.checkpoint_base)
-        reference = load_checkpoint(final)
+        reference = FeatureStore.restore(final).cut
         journal_bytes = paths.journal.read_bytes()
         final.unlink()
         # A kill mid append: a fragment with no trailing newline.
@@ -363,11 +404,11 @@ class TestTornJournalFailover:
 
         assert result["restored"] and 0 < result["resumed_at"] < result["rows_seen"]
         assert (
-            result["probability"].tobytes() == reference.probability.tobytes()
+            result["probability"].tobytes() == reference["scores"].tobytes()
         )
-        assert np.array_equal(
-            result["accepted_global"], reference.accepted_global
-        )
+        ids = np.asarray(serve_trace.records["drive_id"])
+        own = np.flatnonzero(PartitionMap(2).shard_of_array(ids) == 0)
+        assert np.array_equal(result["accepted_global"], own[reference["score_rows"]])
         assert paths.journal.read_bytes() == journal_bytes
 
 

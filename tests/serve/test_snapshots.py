@@ -120,10 +120,10 @@ class TestReplayRotation:
         newest = latest_snapshot(base)
         assert newest == gens[-1][1]
         # The newest generation restores to a working store whose
-        # resumed scores match: restore, skip what it saw, replay rest.
+        # resumed replay skips what it saw and returns the whole run.
         store = FeatureStore.restore(newest)
-        seen = store.events_total
         resumed = ScoringEngine(predictor, store=store).replay(
-            serve_trace.records, chunk_rows=512, start_row=seen
+            serve_trace.records, chunk_rows=512
         )
-        assert np.array_equal(resumed.probability, offline_probs[seen:])
+        assert resumed.resumed_at == store.events_total
+        assert np.array_equal(resumed.probability, offline_probs)
